@@ -58,9 +58,16 @@ demotePhis(Module &module)
         // any same-block phi sources first, then perform all stores —
         // phis assign in parallel, and interleaving loads with stores
         // would corrupt swap patterns (p1 <- p2, p2 <- p1).
-        std::unordered_map<BasicBlock *, std::vector<Instr *>> by_block;
-        for (Instr *phi : phis)
-            by_block[phi->parent()].push_back(phi);
+        // Grouped by block in layout order, the order phis was
+        // collected in: never by address, which would vary per run.
+        std::vector<std::pair<BasicBlock *, std::vector<Instr *>>>
+            by_block;
+        for (Instr *phi : phis) {
+            if (by_block.empty() || by_block.back().first != phi->parent())
+                by_block.emplace_back(phi->parent(),
+                                      std::vector<Instr *>{});
+            by_block.back().second.push_back(phi);
+        }
         for (auto &[block, block_phis] : by_block) {
             std::unordered_set<BasicBlock *> seen;
             for (size_t i = 0;

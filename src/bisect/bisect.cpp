@@ -44,7 +44,7 @@ emitResolved(support::EventSink *events, unsigned marker, size_t good,
         .num("good", good)
         .num("bad", bad)
         .str("status", bisectStatusName(result.status));
-    if (result.valid) {
+    if (result.status == BisectStatus::Found) {
         event.num("first_bad", result.firstBad)
             .str("commit", result.commit->hash);
     }
@@ -85,7 +85,6 @@ bisectRegression(compiler::CompilerId id, compiler::OptLevel level,
             good = mid;
     }
     result.status = BisectStatus::Found;
-    result.valid = true;
     result.firstBad = bad;
     result.commit = &compiler::spec(id).history()[bad];
     emitResolved(events, marker, first_good, first_bad, result);

@@ -37,7 +37,6 @@ const char *bisectStatusName(BisectStatus status);
 
 struct BisectResult {
     BisectStatus status = BisectStatus::EmptyRange;
-    bool valid = false;      ///< status == Found (legacy convenience)
     size_t firstBad = 0;     ///< first commit index that misses
     const compiler::Commit *commit = nullptr;
 };
@@ -50,9 +49,10 @@ bool markerMissedAt(compiler::CompilerId id, compiler::OptLevel level,
 /**
  * Binary-search the first commit in (good, bad] at which @p marker is
  * missed. @pre marker eliminated at @p good, missed at @p bad (checked
- * — result.status says which endpoint check failed; valid is true only
- * for BisectStatus::Found). When @p events is set, one bisect_resolved
- * event keyed by the marker records the outcome (DESIGN.md §12).
+ * — result.status says which endpoint check failed; firstBad and
+ * commit are set only for BisectStatus::Found). When @p events is set,
+ * one bisect_resolved event keyed by the marker records the outcome
+ * (DESIGN.md §12).
  */
 BisectResult bisectRegression(compiler::CompilerId id,
                               compiler::OptLevel level,

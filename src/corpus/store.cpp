@@ -212,6 +212,7 @@ CorpusStore::open(const std::string &dir, StoreError *error,
     store->metrics_ = &registry;
     store->dedupHits_ = &registry.counter("corpus.dedup_hits");
     store->recordCount_ = &registry.counter("corpus.records");
+    store->recordsLoaded_ = &registry.counter("corpus.records_loaded");
     store->bytesWritten_ = &registry.counter("corpus.bytes");
     store->checkpointUs_ = &registry.histogram("corpus.checkpoint_us");
 
@@ -620,6 +621,7 @@ CorpusStore::loadRecords(StoreError *error)
         records.push_back({std::move(*record), slot, entry.chunk,
                            entry.programHash});
     }
+    recordsLoaded_->add(records.size());
     return records;
 }
 

@@ -126,7 +126,8 @@ class CorpusStore {
      * A record for the same slot replaces the earlier one on load. */
     void putRecord(const core::ProgramRecord &record, uint64_t slot,
                    uint64_t chunk, const std::string &program_hash);
-    /** Every stored record, sorted by slot. */
+    /** Every stored record, sorted by slot. Each call reads and
+     * deserializes them all (counted in corpus.records_loaded). */
     std::vector<StoredRecord>
     loadRecords(StoreError *error = nullptr);
 
@@ -224,6 +225,7 @@ class CorpusStore {
     support::MetricsRegistry *metrics_ = nullptr;
     support::Counter *dedupHits_ = nullptr;
     support::Counter *recordCount_ = nullptr;
+    support::Counter *recordsLoaded_ = nullptr; ///< loadRecords output
     support::Counter *bytesWritten_ = nullptr;
     support::Histogram *checkpointUs_ = nullptr;
 };

@@ -108,12 +108,16 @@ struct EquivSummary {
     uint64_t seed = 0;
     uint64_t programs = 0; ///< records analysed
     uint64_t variants = 0; ///< variants proven equivalent
-    /** Discarded variants per reason: no-edit, stale, trap-timeout,
-     * not-equivalent, base-invalid, missing-program. */
+    /** Rejects per reason, in two units. no-edit, stale, trap-timeout
+     * and not-equivalent count discarded variants. base-invalid and
+     * missing-program count store records whose base was skipped
+     * before any variant was derived: once per record, not once per
+     * variant it would have had. */
     std::map<std::string, uint64_t> rejects;
     std::vector<EquivFinding> findings;
     std::vector<EquivOutlier> outliers;
 
+    /** Sum over every reason, so it mixes both units of rejects. */
     uint64_t rejected() const;
 };
 

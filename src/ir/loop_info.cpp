@@ -58,40 +58,60 @@ LoopInfo::LoopInfo(const Function &fn, const DominatorTree &domtree)
 
     // Find back edges: latch -> header where header dominates latch.
     // Group by header (a header can have several latches).
-    std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> backEdges;
+    std::unordered_map<BasicBlock *, Loop *> loop_of_header;
     for (BasicBlock *block : domtree.rpo()) {
         for (BasicBlock *succ : block->successors()) {
-            if (domtree.dominates(succ, block))
-                backEdges[succ].push_back(block);
+            if (!domtree.dominates(succ, block))
+                continue;
+            Loop *&loop = loop_of_header[succ];
+            if (!loop) {
+                loops_.push_back(std::make_unique<Loop>());
+                loop = loops_.back().get();
+                loop->header = succ;
+            }
+            loop->latches.push_back(block);
         }
     }
 
-    // Build each loop body by walking predecessors from the latches.
-    for (auto &[header, latches] : backEdges) {
-        auto loop = std::make_unique<Loop>();
-        loop->header = header;
-        loop->latches = latches;
-        loop->blocks.insert(header);
-        std::vector<BasicBlock *> worklist(latches.begin(), latches.end());
+    // Build each loop body by walking predecessors from the latches,
+    // then lay it out in function order. in_loop is indexed by
+    // indexInFn() and cleared again after each loop.
+    std::vector<unsigned char> in_loop(fn.blocks().size(), 0);
+    std::vector<BasicBlock *> worklist;
+    for (auto &loop : loops_) {
+        in_loop[loop->header->indexInFn()] = 1;
+        loop->blocks.push_back(loop->header);
+        worklist.assign(loop->latches.begin(), loop->latches.end());
         while (!worklist.empty()) {
             BasicBlock *block = worklist.back();
             worklist.pop_back();
-            if (!loop->blocks.insert(block).second)
+            if (in_loop[block->indexInFn()])
                 continue;
+            in_loop[block->indexInFn()] = 1;
+            loop->blocks.push_back(block);
             for (BasicBlock *pred : preds.at(block)) {
-                if (!domtree.isReachable(pred))
-                    continue;
-                if (!loop->blocks.count(pred))
+                if (domtree.isReachable(pred) && !in_loop[pred->indexInFn()])
                     worklist.push_back(pred);
             }
         }
-        loops_.push_back(std::move(loop));
+        std::sort(loop->blocks.begin(), loop->blocks.end(),
+                  [](const BasicBlock *a, const BasicBlock *b) {
+                      return a->indexInFn() < b->indexInFn();
+                  });
+        loop->members.assign(loop->blocks.begin(), loop->blocks.end());
+        std::sort(loop->members.begin(), loop->members.end(),
+                  std::less<const BasicBlock *>());
+        for (const BasicBlock *block : loop->blocks)
+            in_loop[block->indexInFn()] = 0;
     }
 
-    // Sort outermost (largest) first so nesting links are easy to set.
+    // Sort outermost (largest) first so nesting links are easy to set;
+    // equal sizes go in header layout order (headers are distinct).
     std::sort(loops_.begin(), loops_.end(),
               [](const auto &a, const auto &b) {
-                  return a->blocks.size() > b->blocks.size();
+                  if (a->blocks.size() != b->blocks.size())
+                      return a->blocks.size() > b->blocks.size();
+                  return a->header->indexInFn() < b->header->indexInFn();
               });
 
     // Nesting: the innermost loop containing a header (other than the

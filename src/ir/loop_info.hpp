@@ -6,9 +6,10 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ir/cfg.hpp"
@@ -21,8 +22,13 @@ namespace dce::ir {
  * edge without leaving the header's dominance region. */
 struct Loop {
     BasicBlock *header = nullptr;
-    /** Blocks in the loop, header included. */
-    std::unordered_set<BasicBlock *> blocks;
+    /** Blocks in the loop, header included, in function layout order.
+     * Passes pick branches and order cloned regions by iterating this,
+     * so its order must never depend on heap addresses. */
+    std::vector<BasicBlock *> blocks;
+    /** The same blocks sorted by address: a lookup index for
+     * contains(), never to be iterated. */
+    std::vector<const BasicBlock *> members;
     /** Back-edge sources (latches). */
     std::vector<BasicBlock *> latches;
     /** Enclosing loop, or null for top-level loops. */
@@ -31,7 +37,8 @@ struct Loop {
 
     bool contains(const BasicBlock *block) const
     {
-        return blocks.count(const_cast<BasicBlock *>(block)) != 0;
+        return std::binary_search(members.begin(), members.end(), block,
+                                  std::less<const BasicBlock *>());
     }
 
     /** Blocks outside the loop that loop blocks branch to. */
@@ -45,7 +52,8 @@ struct Loop {
     unsigned depth() const;
 };
 
-/** All natural loops of a function, outermost first. */
+/** All natural loops of a function, outermost first; loops of equal
+ * size in the layout order of their headers. */
 class LoopInfo {
   public:
     LoopInfo(const Function &fn, const DominatorTree &domtree);

@@ -27,6 +27,17 @@ stripPrefix(const std::string &part, std::string_view prefix)
     return part.substr(prefix.size());
 }
 
+/** parseFingerprint, classifying a malformed one as NotFound. */
+std::optional<core::VerdictKey>
+parseOrReject(const std::string &fingerprint, corpus::StoreError *error)
+{
+    std::optional<core::VerdictKey> key = parseFingerprint(fingerprint);
+    if (!key)
+        setError(error, corpus::StoreStatus::NotFound,
+                 "malformed fingerprint: " + fingerprint);
+    return key;
+}
+
 } // namespace
 
 std::optional<core::VerdictKey>
@@ -73,18 +84,48 @@ parseFingerprint(const std::string &fingerprint)
     return key;
 }
 
+DossierSnapshot
+makeDossierSnapshot(std::vector<corpus::StoredRecord> records,
+                    const corpus::CampaignPlan *plan, const EventLog *log)
+{
+    DossierSnapshot snapshot;
+    snapshot.records = std::move(records);
+    for (size_t i = 0; i < snapshot.records.size(); ++i)
+        snapshot.firstByHash.emplace(snapshot.records[i].programHash, i);
+    if (plan) {
+        for (const core::BuildSpec &spec : plan->builds)
+            snapshot.buildNames.push_back(spec.name());
+    }
+    if (log) {
+        for (const support::Event &event : log->sorted()) {
+            if (event.type() != "reduction_finished")
+                continue;
+            const std::string *fp = event.getStr("fingerprint");
+            if (!fp)
+                continue;
+            DossierReduction reduction;
+            reduction.tests = event.getNum("tests").value_or(0);
+            reduction.linesBefore =
+                event.getNum("lines_before").value_or(0);
+            reduction.linesAfter =
+                event.getNum("lines_after").value_or(0);
+            reduction.passes =
+                event.getNum("reduce_passes").value_or(0);
+            snapshot.reductions.emplace(*fp, reduction);
+        }
+    }
+    return snapshot;
+}
+
 std::optional<Dossier>
-buildDossier(corpus::CorpusStore &store, const EventLog *log,
+buildDossier(const DossierSnapshot &snapshot, corpus::CorpusStore &store,
              const std::string &fingerprint,
              corpus::StoreError *error)
 {
     std::optional<core::VerdictKey> key =
-        parseFingerprint(fingerprint);
-    if (!key) {
-        setError(error, corpus::StoreStatus::NotFound,
-                 "malformed fingerprint: " + fingerprint);
+        parseOrReject(fingerprint, error);
+    if (!key)
         return std::nullopt;
-    }
 
     Dossier dossier;
     dossier.fingerprint = fingerprint;
@@ -94,29 +135,17 @@ buildDossier(corpus::CorpusStore &store, const EventLog *log,
     dossier.reference = key->reference;
 
     // Locate the stored record carrying this program.
-    corpus::StoreError load_error;
-    std::vector<corpus::StoredRecord> records =
-        store.loadRecords(&load_error);
-    if (!load_error.ok()) {
-        setError(error, load_error.status, load_error.message);
-        return std::nullopt;
-    }
-    const corpus::StoredRecord *stored = nullptr;
-    for (const corpus::StoredRecord &candidate : records) {
-        if (candidate.programHash == key->programHash) {
-            stored = &candidate;
-            break;
-        }
-    }
-    if (!stored) {
+    auto found = snapshot.firstByHash.find(key->programHash);
+    if (found == snapshot.firstByHash.end()) {
         setError(error, corpus::StoreStatus::NotFound,
                  "no stored record for program " + key->programHash);
         return std::nullopt;
     }
-    const core::ProgramRecord &record = stored->record;
+    const corpus::StoredRecord &stored = snapshot.records[found->second];
+    const core::ProgramRecord &record = stored.record;
     dossier.seed = record.seed;
-    dossier.slot = stored->slot;
-    dossier.chunk = stored->chunk;
+    dossier.slot = stored.slot;
+    dossier.chunk = stored.chunk;
     dossier.markerCount = record.markerCount;
     dossier.trueDead = record.trueDead.size();
     dossier.trueAlive = record.trueAlive.size();
@@ -131,15 +160,7 @@ buildDossier(corpus::CorpusStore &store, const EventLog *log,
     }
     dossier.source = std::move(*source);
 
-    // Build names come from the checkpointed plan when one exists;
-    // a store without a checkpoint still yields a dossier, with
-    // positional build labels.
-    std::vector<std::string> build_names;
-    if (std::optional<corpus::CheckpointState> state =
-            corpus::readCheckpointState(store)) {
-        for (const core::BuildSpec &spec : state->plan.builds)
-            build_names.push_back(spec.name());
-    }
+    const std::vector<std::string> &build_names = snapshot.buildNames;
     unsigned marker =
         dossier.markers.empty() ? 0 : dossier.markers.front();
     for (size_t i = 0; i < record.alive.size(); ++i) {
@@ -165,29 +186,38 @@ buildDossier(corpus::CorpusStore &store, const EventLog *log,
     // Cached triage verdict, when triage ran against this store.
     dossier.verdict = store.getVerdict(fingerprint);
 
-    // Reduction trajectory, when the caller kept the event log.
-    if (log) {
-        for (const support::Event &event : log->sorted()) {
-            if (event.type() != "reduction_finished")
-                continue;
-            const std::string *fp = event.getStr("fingerprint");
-            if (!fp || *fp != fingerprint)
-                continue;
-            DossierReduction reduction;
-            reduction.tests = event.getNum("tests").value_or(0);
-            reduction.linesBefore =
-                event.getNum("lines_before").value_or(0);
-            reduction.linesAfter =
-                event.getNum("lines_after").value_or(0);
-            reduction.passes =
-                event.getNum("reduce_passes").value_or(0);
-            dossier.reduction = reduction;
-            break;
-        }
-    }
+    // Reduction trajectory, when the snapshot kept an event log.
+    auto reduction = snapshot.reductions.find(fingerprint);
+    if (reduction != snapshot.reductions.end())
+        dossier.reduction = reduction->second;
 
     setError(error, corpus::StoreStatus::Ok, "");
     return dossier;
+}
+
+std::optional<Dossier>
+buildDossier(corpus::CorpusStore &store, const EventLog *log,
+             const std::string &fingerprint,
+             corpus::StoreError *error)
+{
+    // A malformed fingerprint fails before the store is read.
+    if (!parseOrReject(fingerprint, error))
+        return std::nullopt;
+    corpus::StoreError load_error;
+    std::vector<corpus::StoredRecord> records =
+        store.loadRecords(&load_error);
+    if (!load_error.ok()) {
+        setError(error, load_error.status, load_error.message);
+        return std::nullopt;
+    }
+    // A store without a checkpoint still yields a dossier, with
+    // positional build labels.
+    std::optional<corpus::CheckpointState> state =
+        corpus::readCheckpointState(store);
+    return buildDossier(
+        makeDossierSnapshot(std::move(records),
+                            state ? &state->plan : nullptr, log),
+        store, fingerprint, error);
 }
 
 std::string

@@ -18,6 +18,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/triage.hpp"
@@ -80,10 +81,49 @@ std::optional<core::VerdictKey>
 parseFingerprint(const std::string &fingerprint);
 
 /**
- * Assemble the dossier for @p fingerprint from @p store, consulting
- * @p log (may be null) for the reduction trajectory. Fails with
- * NotFound when no stored record carries the fingerprint's program
- * hash, and with the store's own classification on read failure.
+ * The dossier inputs of one store read: every stored record, indexed
+ * by program hash, plus the plan's build names and the event log's
+ * reduction trajectories. A report builds one snapshot and serves all
+ * of its dossiers from it, so a dossier costs one hash lookup, one
+ * program read and one verdict read instead of a full record load.
+ */
+struct DossierSnapshot {
+    /** Every stored record, committed or not, in slot order. */
+    std::vector<corpus::StoredRecord> records;
+    /** Program hash → index in records of its lowest-slot record. */
+    std::unordered_map<std::string, size_t> firstByHash;
+    /** BuildSpec::name() per plan build; empty without a checkpoint,
+     * in which case dossiers label builds "build<i>". */
+    std::vector<std::string> buildNames;
+    /** Fingerprint → trajectory of its first reduction_finished event
+     * (sorted order); empty without an event log. */
+    std::unordered_map<std::string, DossierReduction> reductions;
+};
+
+/** Index @p records (slot order, as loadRecords returns them) with
+ * @p plan's build names (null = no checkpoint) and @p log's reduction
+ * trajectories (null = none). */
+DossierSnapshot makeDossierSnapshot(
+    std::vector<corpus::StoredRecord> records,
+    const corpus::CampaignPlan *plan, const EventLog *log);
+
+/**
+ * Assemble the dossier for @p fingerprint from @p snapshot, reading
+ * the program text and cached verdict from @p store. Fails with
+ * NotFound when the fingerprint is malformed or no stored record
+ * carries its program hash, and with the store's own classification
+ * on read failure.
+ */
+std::optional<Dossier>
+buildDossier(const DossierSnapshot &snapshot, corpus::CorpusStore &store,
+             const std::string &fingerprint,
+             corpus::StoreError *error = nullptr);
+
+/**
+ * One-off form for a single dossier (the ops server's /dossier/<fp>):
+ * loads @p store into a fresh snapshot — with the checkpointed plan's
+ * build names when the store has a checkpoint — and consults @p log
+ * (may be null) for the reduction trajectory.
  */
 std::optional<Dossier>
 buildDossier(corpus::CorpusStore &store, const EventLog *log,

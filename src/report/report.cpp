@@ -6,7 +6,6 @@
 #include <map>
 
 #include "core/triage.hpp"
-#include "report/dossier.hpp"
 #include "support/json.hpp"
 
 namespace fs = std::filesystem;
@@ -110,7 +109,7 @@ tableRow(const std::string &line, const char *tag)
 
 std::optional<CampaignReportData>
 collectReportData(corpus::CorpusStore &store,
-                  corpus::StoreError *error)
+                  corpus::StoreError *error, const EventLog *log)
 {
     std::optional<corpus::CheckpointState> state =
         corpus::readCheckpointState(store, error);
@@ -138,7 +137,7 @@ collectReportData(corpus::CorpusStore &store,
         return std::nullopt;
     }
     std::map<uint64_t, std::string> hash_by_slot;
-    for (corpus::StoredRecord &stored : records) {
+    for (const corpus::StoredRecord &stored : records) {
         // Checkpoint-committed chunks only: records landed after the
         // last checkpoint are durable but not yet *named*, and the
         // report must describe exactly the state a resume would keep —
@@ -151,10 +150,11 @@ collectReportData(corpus::CorpusStore &store,
             ++data.validRecords;
         hash_by_slot[stored.slot] = stored.programHash;
         if (stored.slot < data.campaign.programs.size())
-            data.campaign.programs[stored.slot] =
-                std::move(stored.record);
+            data.campaign.programs[stored.slot] = stored.record;
     }
     data.campaign.metrics.seedsDone = data.storedRecords;
+    data.dossiers =
+        makeDossierSnapshot(std::move(records), &plan, log);
 
     // Fingerprint the checkpointed findings — the key that links the
     // findings index, the dossiers, and the verdict cache.
@@ -461,7 +461,7 @@ writeCampaignReport(corpus::CorpusStore &store,
                     corpus::StoreError *error)
 {
     std::optional<CampaignReportData> data =
-        collectReportData(store, error);
+        collectReportData(store, error, options.log);
     if (!data)
         return false;
     if (options.latencyMetrics)
@@ -492,8 +492,8 @@ writeCampaignReport(corpus::CorpusStore &store,
             const std::string &fingerprint = data->fingerprints[i];
             if (fingerprint.empty())
                 continue;
-            std::optional<Dossier> dossier = buildDossier(
-                store, options.log, fingerprint, error);
+            std::optional<Dossier> dossier =
+                buildDossier(data->dossiers, store, fingerprint, error);
             if (!dossier)
                 return false;
             std::string name = "finding-" + std::to_string(i);

@@ -23,6 +23,7 @@
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
 #include "equiv/engine.hpp"
+#include "report/dossier.hpp"
 #include "report/event_log.hpp"
 #include "support/metrics.hpp"
 
@@ -62,6 +63,10 @@ struct CampaignReportData {
     uint64_t validRecords = 0;
     uint64_t totalChunks = 0;
     bool complete = false; ///< every chunk committed
+    /** The same record load, indexed for the per-finding dossiers —
+     * every stored record, committed or not, as buildDossier sees
+     * the store. Not rendered into the report body. */
+    DossierSnapshot dossiers;
     /** The store's metamorphic analysis (equiv.json), when one was
      * run — renders as the "Metamorphic testing" section. */
     std::optional<equiv::EquivSummary> equiv;
@@ -88,12 +93,15 @@ collectStageLatency(const support::MetricsRegistry &registry);
 /**
  * Assemble the report's inputs from @p store: parse the checkpoint
  * (NoCheckpoint when the store never ran a checkpointed campaign),
- * load the records into a positionally-faithful core::Campaign, and
- * fingerprint every checkpointed finding.
+ * load the records once — into a positionally-faithful core::Campaign
+ * and into the dossier snapshot — and fingerprint every checkpointed
+ * finding. @p log (may be null) only feeds the dossiers' reduction
+ * trajectories.
  */
 std::optional<CampaignReportData>
 collectReportData(corpus::CorpusStore &store,
-                  corpus::StoreError *error = nullptr);
+                  corpus::StoreError *error = nullptr,
+                  const EventLog *log = nullptr);
 
 /** Render the Markdown report body (pure; no I/O, no clock). */
 std::string

@@ -130,7 +130,9 @@ class HttpServer {
      * 0 before start(). */
     uint16_t port() const { return port_; }
 
-    /** Total requests answered (any status) since start(). */
+    /** Total requests answered (any status) since start(). A request
+     * is counted before its response is sent, so a client that has
+     * read its response always sees itself counted. */
     uint64_t requestsServed() const;
 
   private:
@@ -140,8 +142,9 @@ class HttpServer {
     HttpHandler handler_;
     HttpServerOptions options_;
     support::Counter *requests_ = nullptr;
-    /** serve.request_us: accept-to-response-sent wall µs, feeding the
-     * /progress serve latency percentiles. */
+    /** serve.request_us: accept-to-response-ready wall µs (recorded
+     * just before the response is sent), feeding the /progress serve
+     * latency percentiles. */
     support::Histogram *requestUs_ = nullptr;
 
     int listenFd_ = -1;

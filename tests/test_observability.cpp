@@ -32,7 +32,10 @@ static std::atomic<uint64_t> g_heap_allocations{0};
 // Replaceable global allocation functions that count every scalar and
 // array new in the test binary. Deallocation is untouched malloc/free.
 // GCC can't see that the matching operator new is malloc-based, hence
-// the suppressed mismatch warning.
+// the suppressed mismatch warning. The nothrow forms are replaced too
+// (std::stable_sort's temporary buffer uses them): a sanitizer runtime
+// would otherwise supply its own, and the replaced delete would free
+// memory it never saw allocated.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void *
@@ -48,6 +51,31 @@ void *
 operator new[](std::size_t size)
 {
     return operator new(size);
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return operator new(size, tag);
+}
+
+void
+operator delete(void *ptr, const std::nothrow_t &) noexcept
+{
+    std::free(ptr);
+}
+
+void
+operator delete[](void *ptr, const std::nothrow_t &) noexcept
+{
+    std::free(ptr);
 }
 
 void

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "compiler/compiler.hpp"
+#include "gen/generator.hpp"
 #include "helpers.hpp"
+#include "instrument/instrument.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/lowering.hpp"
 #include "ir/printer.hpp"
@@ -362,6 +364,64 @@ TEST(Opt, UnswitchFreezeRegression)
     ASSERT_TRUE(o3_module);
     EXPECT_TRUE(callsFunction(*o3_module, "dead"))
         << ir::printModule(*o3_module);
+}
+
+TEST(Opt, O3IsIndependentOfHeapLayout)
+{
+    // The loop passes pick the branch to unswitch, the loads to hoist
+    // and the order of cloned regions by walking loop blocks. Those
+    // walks must follow the function layout, not heap addresses: the
+    // same module compiled after different allocation histories has
+    // to come out the same, or a marker's verdict depends on where
+    // the allocator put the blocks. The generator seeds are programs
+    // whose O3 output moved with the heap while loop blocks were kept
+    // in a pointer-hashed set.
+    std::vector<std::unique_ptr<ir::Module>> modules;
+    modules.push_back(lowerOk(R"(
+        void dead(void);
+        int a, b, c, out;
+        int main() {
+            int i = 0;
+            while (i < 8) {
+                if (a) { out = out + 1; } else { out = out - 1; }
+                if (b) { dead(); }
+                if (c) { out = out * 2; } else { dead(); }
+                i = i + 1;
+            }
+            return out;
+        }
+    )"));
+    for (uint64_t seed : {18u, 33u, 144u, 201u, 210u, 277u})
+        modules.push_back(ir::lowerToIr(
+            *instrument::instrumentUnit(*gen::generateProgram(seed))
+                 .unit));
+
+    std::vector<std::unique_ptr<char[]>> ballast;
+    for (size_t m = 0; m < modules.size(); ++m) {
+        ASSERT_TRUE(modules[m]);
+        for (CompilerId id : {CompilerId::Alpha, CompilerId::Beta}) {
+            Compiler comp(id, OptLevel::O3);
+            std::string first;
+            for (unsigned round = 0; round < 6; ++round) {
+                // Fragment the heap differently before each compile.
+                for (unsigned k = 0; k < 50 + 37 * round; ++k)
+                    ballast.push_back(std::make_unique<char[]>(
+                        16 + (k * 53 + round * 97) % 3000));
+                for (size_t k = round % 3; k < ballast.size(); k += 3)
+                    ballast[k].reset();
+                compiler::Compilation result =
+                    comp.compileLowered(*modules[m]);
+                ASSERT_TRUE(result.ok()) << result.error();
+                std::string printed = ir::printModule(result.module());
+                if (round == 0)
+                    first = printed;
+                else
+                    ASSERT_EQ(printed, first)
+                        << comp.describe() << " module " << m
+                        << " round " << round;
+            }
+        }
+    }
 }
 
 TEST(Opt, VrpRemRegression)

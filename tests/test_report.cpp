@@ -654,5 +654,202 @@ TEST(ReportGenerator, IncompleteStoreRendersPartialReport)
     EXPECT_EQ(error.status, corpus::StoreStatus::NoCheckpoint);
 }
 
+//===------------------------------------------------------------------===//
+// Dossiers written by the report
+//===------------------------------------------------------------------===//
+
+/** Run smallPlan() into @p dir: to completion, or killed after
+ * @p halt_after chunks and never resumed. */
+void
+runSmallPlan(const std::string &dir, uint64_t halt_after = 0)
+{
+    corpus::StoreError error;
+    auto store = corpus::CorpusStore::open(dir, &error);
+    ASSERT_TRUE(store) << error.message;
+    corpus::CheckpointRunOptions options;
+    options.checkpointEveryChunks = 2;
+    options.haltAfterChunks = halt_after;
+    auto result =
+        corpus::runCheckpointed(*store, smallPlan(), options, &error);
+    ASSERT_TRUE(result) << error.message;
+    ASSERT_EQ(result->completed, halt_after == 0);
+}
+
+/**
+ * Write the report of the store at @p store_dir, then check every
+ * dossier it wrote against a standalone buildDossier on a freshly
+ * opened store. Returns the number of dossiers compared.
+ */
+size_t
+expectReportDossiersMatchStandalone(const std::string &store_dir)
+{
+    TempDir report_dir("dossiers");
+    corpus::StoreError error;
+    std::vector<std::string> fingerprints;
+    {
+        auto store = corpus::CorpusStore::open(store_dir, &error);
+        EXPECT_TRUE(store) << error.message;
+        if (!store)
+            return 0;
+        EXPECT_TRUE(writeCampaignReport(*store, report_dir.str(), {},
+                                        &error))
+            << error.message;
+        std::optional<CampaignReportData> data =
+            collectReportData(*store, &error);
+        EXPECT_TRUE(data) << error.message;
+        if (data)
+            fingerprints = data->fingerprints;
+    }
+    auto fresh = corpus::CorpusStore::open(store_dir, &error);
+    EXPECT_TRUE(fresh) << error.message;
+    if (!fresh)
+        return 0;
+    size_t compared = 0;
+    for (size_t i = 0; i < fingerprints.size(); ++i) {
+        std::string name = report_dir.str() + "/finding-" +
+                           std::to_string(i);
+        if (fingerprints[i].empty()) {
+            EXPECT_FALSE(fs::exists(name + ".md")) << name;
+            continue;
+        }
+        std::optional<Dossier> dossier =
+            buildDossier(*fresh, nullptr, fingerprints[i], &error);
+        EXPECT_TRUE(dossier) << error.message;
+        if (!dossier)
+            continue;
+        EXPECT_EQ(readFile(name + ".md"), dossierMarkdown(*dossier))
+            << name;
+        EXPECT_EQ(readFile(name + ".json"), dossierJson(*dossier))
+            << name;
+        ++compared;
+    }
+    return compared;
+}
+
+TEST(ReportDossiers, ReportDossiersEqualStandaloneDossiers)
+{
+    TempDir store_dir("standalone");
+    runSmallPlan(store_dir.str());
+    EXPECT_GT(expectReportDossiersMatchStandalone(store_dir.str()), 0u);
+}
+
+TEST(ReportDossiers, SharedProgramHashResolvesToLowestSlot)
+{
+    TempDir store_dir("shared");
+    runSmallPlan(store_dir.str());
+
+    // Give slot 0 the program of a later finding, in a chunk no
+    // checkpoint names: the report leaves it out of every total, but
+    // it is the lowest-slot record carrying that hash, so every
+    // dossier for that program must describe it.
+    corpus::StoreError error;
+    uint64_t shared_slot = 0;
+    std::string fingerprint;
+    {
+        auto store = corpus::CorpusStore::open(store_dir.str(), &error);
+        ASSERT_TRUE(store) << error.message;
+        std::optional<CampaignReportData> data =
+            collectReportData(*store, &error);
+        ASSERT_TRUE(data) << error.message;
+        for (size_t i = 0; i < data->state.findings.size(); ++i) {
+            if (data->state.findings[i].slot > 0) {
+                shared_slot = data->state.findings[i].slot;
+                fingerprint = data->fingerprints[i];
+                break;
+            }
+        }
+        ASSERT_GT(shared_slot, 0u) << "no finding past slot 0";
+        std::vector<corpus::StoredRecord> records =
+            store->loadRecords(&error);
+        auto source = std::find_if(
+            records.begin(), records.end(),
+            [&](const corpus::StoredRecord &r) {
+                return r.slot == shared_slot;
+            });
+        ASSERT_NE(source, records.end());
+        core::ProgramRecord copy = source->record;
+        copy.seed += 1000;
+        store->putRecord(copy, 0, 999, source->programHash);
+        ASSERT_TRUE(store->flush(&error)) << error.message;
+    }
+
+    EXPECT_GT(expectReportDossiersMatchStandalone(store_dir.str()), 0u);
+    auto store = corpus::CorpusStore::open(store_dir.str(), &error);
+    ASSERT_TRUE(store) << error.message;
+    std::optional<Dossier> dossier =
+        buildDossier(*store, nullptr, fingerprint, &error);
+    ASSERT_TRUE(dossier) << error.message;
+    EXPECT_EQ(dossier->slot, 0u);
+    EXPECT_EQ(dossier->chunk, 999u);
+}
+
+TEST(ReportDossiers, KilledStoreDossiersSeeRecordsPastCheckpoint)
+{
+    TempDir store_dir("killedcp");
+    // Checkpoints every 2 chunks; the third chunk's records land but
+    // no checkpoint names them.
+    runSmallPlan(store_dir.str(), 3);
+    corpus::StoreError error;
+    {
+        auto store = corpus::CorpusStore::open(store_dir.str(), &error);
+        ASSERT_TRUE(store) << error.message;
+        std::optional<CampaignReportData> data =
+            collectReportData(*store, &error);
+        ASSERT_TRUE(data) << error.message;
+        ASSERT_FALSE(data->complete);
+        EXPECT_GT(data->dossiers.records.size(), data->storedRecords);
+    }
+    EXPECT_GT(expectReportDossiersMatchStandalone(store_dir.str()), 0u);
+}
+
+TEST(ReportDossiers, StoreWithoutCheckpointLabelsBuildsByPosition)
+{
+    TempDir store_dir("nocheckpoint");
+    corpus::StoreError error;
+    auto store = corpus::CorpusStore::open(store_dir.str(), &error);
+    ASSERT_TRUE(store) << error.message;
+    core::ProgramRecord record;
+    record.seed = 7;
+    record.markerCount = 2;
+    record.valid = true;
+    record.trueDead = {0, 1};
+    record.alive = {{1}, {}};
+    record.missed = {{1}, {}};
+    store->putProgram("00000000000000aa", "int main() { return 0; }\n");
+    store->putRecord(record, 0, 0, "00000000000000aa");
+    ASSERT_FALSE(store->hasCheckpoint());
+
+    std::optional<Dossier> dossier = buildDossier(
+        *store, nullptr, "prog:00000000000000aa|markers:1|by:a|ref:b",
+        &error);
+    ASSERT_TRUE(dossier) << error.message;
+    ASSERT_EQ(dossier->builds.size(), 2u);
+    EXPECT_EQ(dossier->builds[0].name, "build0");
+    EXPECT_EQ(dossier->builds[1].name, "build1");
+    EXPECT_TRUE(dossier->builds[0].missesMarker);
+    EXPECT_FALSE(dossier->builds[1].missesMarker);
+    EXPECT_EQ(dossier->seed, 7u);
+}
+
+TEST(ReportDossiers, ReportLoadsEachRecordOnce)
+{
+    TempDir store_dir("loadonce");
+    runSmallPlan(store_dir.str());
+    TempDir report_dir("loadoncerep");
+    support::MetricsRegistry registry;
+    corpus::OpenOptions open;
+    open.metrics = &registry;
+    corpus::StoreError error;
+    auto store = corpus::CorpusStore::open(store_dir.str(), &error, open);
+    ASSERT_TRUE(store) << error.message;
+    ASSERT_EQ(registry.counterValue("corpus.records_loaded"), 0u);
+    ASSERT_TRUE(writeCampaignReport(*store, report_dir.str(), {}, &error))
+        << error.message;
+    // More than one dossier written, yet one record load in total.
+    EXPECT_TRUE(fs::exists(report_dir.str() + "/finding-1.md"));
+    EXPECT_EQ(registry.counterValue("corpus.records_loaded"),
+              store->stats().records);
+}
+
 } // namespace
 } // namespace dce::report
