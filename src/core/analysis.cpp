@@ -33,6 +33,12 @@ std::set<unsigned>
 aliveMarkers(const ir::Module &lowered, const compiler::Compiler &comp,
              compiler::BuildObservers observers, SurvivalSource source)
 {
+    // An O0 build runs no pass: its optimized module is the lowering
+    // itself, so read survival there instead of cloning it. (Assembly
+    // still needs a clone: codegen's phi demotion mutates the module.)
+    if (comp.level() == compiler::OptLevel::O0 &&
+        source == SurvivalSource::Ir)
+        return compiler::survivingMarkersInIr(lowered);
     compiler::Compilation result =
         comp.compileLowered(lowered, /*verify_each=*/false, observers);
     if (source == SurvivalSource::Assembly)
@@ -44,11 +50,14 @@ GroundTruth
 groundTruthFor(const ir::Module &lowered, unsigned marker_count)
 {
     GroundTruth truth;
-    interp::ExecResult result = interp::execute(lowered);
+    interp::ExecLimits limits;
+    limits.recordBlocks = true;
+    interp::ExecResult result = interp::execute(lowered, "main", limits);
     truth.status = result.status;
     if (!result.ok())
         return truth; // timeout/trap: unusable for ground truth
     truth.valid = true;
+    truth.executedBlocks = std::move(result.executedBlocks);
     for (const std::string &name : result.calledExternals) {
         if (auto index = markerIndex(name))
             truth.aliveMarkers.insert(*index);
@@ -71,40 +80,80 @@ groundTruth(const Instrumented &prog)
 // Primary missed-block analysis (§3.2)
 //===------------------------------------------------------------------===//
 
-PrimaryAnalysis::PrimaryAnalysis(const ir::Module &lowered)
+PrimaryAnalysis::PrimaryAnalysis(const ir::Module &lowered,
+                                 const GroundTruth &truth)
 {
     // Interprocedural CFG view over the O0 module: per-block
     // predecessor lists, where a function entry's predecessors are all
-    // blocks containing calls to it.
-    for (const auto &fn : lowered.functions()) {
-        for (const auto &block : fn->blocks()) {
-            preds_[block.get()]; // materialize every node
+    // blocks containing calls to it. Blocks are numbered in module
+    // layout order, the numbering of GroundTruth::executedBlocks.
+    const auto &functions = lowered.functions();
+    std::vector<uint32_t> first_block(functions.size() + 1, 0);
+    for (size_t f = 0; f < functions.size(); ++f) {
+        first_block[f + 1] =
+            first_block[f] +
+            static_cast<uint32_t>(functions[f]->numBlocks());
+    }
+    const uint32_t num_blocks = first_block.back();
+    auto entry_of = [&](const ir::Function *fn) {
+        for (size_t f = 0; f < functions.size(); ++f) {
+            if (functions[f].get() == fn)
+                return first_block[f];
+        }
+        return kNoBlock;
+    };
+
+    // (to, from) edges and (block, marker) pairs in walk order; both
+    // become CSR arrays with a stable counting sort.
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    std::vector<std::pair<uint32_t, unsigned>> markers;
+    for (size_t f = 0; f < functions.size(); ++f) {
+        for (const auto &block : functions[f]->blocks()) {
+            const uint32_t from = first_block[f] + block->indexInFn();
             for (ir::BasicBlock *succ : block->successors())
-                preds_[succ].push_back(block.get());
+                edges.emplace_back(first_block[f] + succ->indexInFn(), from);
             for (const auto &instr : block->instrs()) {
                 if (instr->opcode() != ir::Opcode::Call)
                     continue;
                 const ir::Function *callee = instr->callee;
                 if (callee->isDeclaration()) {
                     if (auto index = markerIndex(callee->name())) {
-                        markerBlock_[*index] = block.get();
-                        blockMarkers_[block.get()].push_back(*index);
+                        if (*index >= markerBlock_.size())
+                            markerBlock_.resize(*index + 1, kNoBlock);
+                        markerBlock_[*index] = from;
+                        markers.emplace_back(from, *index);
                     }
                     continue;
                 }
                 // Call edge: the calling block reaches the callee's
                 // entry.
-                preds_[callee->entry()].push_back(block.get());
+                edges.emplace_back(entry_of(callee), from);
             }
         }
     }
+    auto to_csr = [num_blocks](const auto &pairs, auto &begin,
+                               auto &flat) {
+        begin.assign(num_blocks + 1, 0);
+        for (const auto &[block, item] : pairs)
+            ++begin[block + 1];
+        for (uint32_t b = 0; b < num_blocks; ++b)
+            begin[b + 1] += begin[b];
+        flat.resize(pairs.size());
+        std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+        for (const auto &[block, item] : pairs)
+            flat[fill[block]++] = item;
+    };
+    to_csr(edges, predBegin_, preds_);
+    to_csr(markers, markerBegin_, blockMarkers_);
 
-    // Block-level execution ground truth.
-    interp::ExecLimits limits;
-    limits.recordBlocks = true;
-    interp::ExecResult run = interp::execute(lowered, "main", limits);
-    valid_ = run.ok();
-    executedBlocks_ = std::move(run.executedBlocks);
+    valid_ = truth.valid && truth.executedBlocks.size() == num_blocks;
+    if (valid_)
+        executedBlocks_ = truth.executedBlocks;
+}
+
+PrimaryAnalysis::PrimaryAnalysis(const ir::Module &lowered)
+    : PrimaryAnalysis(lowered, groundTruthFor(lowered, 0))
+{
 }
 
 std::set<unsigned>
@@ -115,24 +164,25 @@ PrimaryAnalysis::primary(const std::set<unsigned> &missed) const
     if (!valid_)
         return missed; // no block truth: be safe, keep everything
 
-    auto block_state = [&](const ir::BasicBlock *block)
-        -> std::pair<bool, bool> {
-        // (contains_missed_dead_marker, contains_any_marker).
+    // (contains_missed_dead_marker, contains_any_marker).
+    auto block_state = [&](uint32_t block) -> std::pair<bool, bool> {
         bool has_missed = false;
-        auto it = blockMarkers_.find(block);
-        if (it != blockMarkers_.end()) {
-            for (unsigned m : it->second)
-                has_missed |= missed.count(m) != 0;
-        }
-        return {has_missed, it != blockMarkers_.end()};
+        for (uint32_t i = markerBegin_[block]; i < markerBegin_[block + 1];
+             ++i)
+            has_missed |= missed.count(blockMarkers_[i]) != 0;
+        return {has_missed, markerBegin_[block] != markerBegin_[block + 1]};
     };
 
     std::set<unsigned> primary;
+    std::vector<uint32_t> worklist;
+    // visited[b] == stamp marks b as seen by the current marker's walk.
+    std::vector<uint32_t> visited(predBegin_.size() - 1, 0);
+    uint32_t stamp = 0;
     for (unsigned marker : missed) {
-        auto block_it = markerBlock_.find(marker);
-        if (block_it == markerBlock_.end())
+        if (marker >= markerBlock_.size() ||
+            markerBlock_[marker] == kNoBlock)
             continue; // marker vanished at lowering (front-end DCE)
-        const ir::BasicBlock *origin = block_it->second;
+        const uint32_t origin = markerBlock_[marker];
 
         // Backwards reachability from the marker's block through dead
         // territory. Hitting an executed (live) block ends that path
@@ -141,19 +191,17 @@ PrimaryAnalysis::primary(const std::set<unsigned> &missed) const
         // block with another *missed* dead marker makes `marker`
         // secondary.
         bool secondary = false;
-        auto origin_preds = preds_.find(origin);
-        std::vector<const ir::BasicBlock *> worklist;
-        if (origin_preds != preds_.end()) {
-            worklist.assign(origin_preds->second.begin(),
-                            origin_preds->second.end());
-        }
-        std::unordered_set<const ir::BasicBlock *> visited{origin};
-        while (!worklist.empty() && !secondary) {
-            const ir::BasicBlock *block = worklist.back();
+        ++stamp;
+        visited[origin] = stamp;
+        worklist.assign(preds_.begin() + predBegin_[origin],
+                        preds_.begin() + predBegin_[origin + 1]);
+        while (!worklist.empty()) {
+            const uint32_t block = worklist.back();
             worklist.pop_back();
-            if (!visited.insert(block).second)
+            if (visited[block] == stamp)
                 continue;
-            if (executedBlocks_.count(block))
+            visited[block] = stamp;
+            if (executedBlocks_[block])
                 continue; // live predecessor: fine
             auto [has_missed, has_any_marker] = block_state(block);
             if (has_missed) {
@@ -163,11 +211,9 @@ PrimaryAnalysis::primary(const std::set<unsigned> &missed) const
             if (has_any_marker)
                 continue; // detected dead marker: root cause resolved
             // Dead, markerless: keep walking up.
-            auto it = preds_.find(block);
-            if (it != preds_.end()) {
-                for (const ir::BasicBlock *pred : it->second)
-                    worklist.push_back(pred);
-            }
+            worklist.insert(worklist.end(),
+                            preds_.begin() + predBegin_[block],
+                            preds_.begin() + predBegin_[block + 1]);
         }
         if (!secondary)
             primary.insert(marker);
@@ -182,7 +228,7 @@ primaryMissedMarkers(const ir::Module &lowered,
 {
     if (missed.empty() || !truth.valid)
         return {};
-    return PrimaryAnalysis(lowered).primary(missed);
+    return PrimaryAnalysis(lowered, truth).primary(missed);
 }
 
 std::set<unsigned>

@@ -16,8 +16,6 @@
 
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "compiler/compiler.hpp"
@@ -53,7 +51,8 @@ std::set<unsigned> aliveMarkers(const lang::TranslationUnit &unit,
  * Same, but from an already-lowered O0 module (not modified): the
  * build's pipeline runs over an ir::cloneModule copy. Lower once with
  * ir::lowerToIr, then call this once per build — the campaign engine's
- * lowering cache in miniature.
+ * lowering cache in miniature. An O0 build runs no pass, so with the
+ * Ir source it reads @p lowered directly and clones nothing.
  *
  * @param observers optional remark/metric sinks for the build's
  *        pipeline run (DESIGN.md §9).
@@ -71,6 +70,10 @@ struct GroundTruth {
     interp::ExecStatus status = interp::ExecStatus::Ok;
     std::set<unsigned> aliveMarkers; ///< executed at least once
     std::set<unsigned> deadMarkers;  ///< never executed
+    /** Blocks the run entered, in module layout order
+     * (interp::ExecResult::executedBlocks) — the block-level ground
+     * truth PrimaryAnalysis needs, so the program executes once. */
+    std::vector<unsigned char> executedBlocks;
 };
 
 GroundTruth groundTruth(const instrument::Instrumented &prog);
@@ -113,16 +116,26 @@ missedMarkers(const std::set<unsigned> &alive_in_asm,
 
 /**
  * §3.2's primary-missed-block analysis, factored so its per-program
- * setup — the interprocedural CFG over the O0 lowering plus one
- * block-recording execution — is built once and then queried per
- * build. A missed marker is secondary when a backwards walk from its
- * block, through dead detected-or-markerless blocks, reaches another
- * missed marker's block.
+ * setup — the interprocedural CFG over the O0 lowering — is built once
+ * and then queried per build. A missed marker is secondary when a
+ * backwards walk from its block, through dead detected-or-markerless
+ * blocks, reaches another missed marker's block. Block-level liveness
+ * comes from the ground-truth run (GroundTruth::executedBlocks); the
+ * program is not executed again.
  *
- * Holds pointers into @p lowered; keep the module alive while using.
+ * Per-block state is keyed by module layout position (functions in
+ * order, blocks in order) in flat arrays.
  */
 class PrimaryAnalysis {
   public:
+    /** @param truth ground truth of @p lowered, or of another lowering
+     *        of the same unit (lowering is deterministic, so the block
+     *        layouts agree). A truth whose block record does not match
+     *        the layout counts as invalid. */
+    PrimaryAnalysis(const ir::Module &lowered, const GroundTruth &truth);
+
+    /** Convenience for callers without ground truth at hand: runs the
+     * ground-truth execution itself. */
     explicit PrimaryAnalysis(const ir::Module &lowered);
 
     /** Block-level ground truth executed cleanly; when false,
@@ -134,14 +147,18 @@ class PrimaryAnalysis {
     std::set<unsigned> primary(const std::set<unsigned> &missed) const;
 
   private:
+    static constexpr uint32_t kNoBlock = UINT32_MAX;
+
     bool valid_ = false;
-    std::unordered_map<const ir::BasicBlock *,
-                       std::vector<const ir::BasicBlock *>>
-        preds_;
-    std::unordered_map<unsigned, const ir::BasicBlock *> markerBlock_;
-    std::unordered_map<const ir::BasicBlock *, std::vector<unsigned>>
-        blockMarkers_;
-    std::unordered_set<const ir::BasicBlock *> executedBlocks_;
+    /** Predecessors of block b: preds_[predBegin_[b] .. predBegin_[b+1]). */
+    std::vector<uint32_t> predBegin_;
+    std::vector<uint32_t> preds_;
+    /** Markers in block b: blockMarkers_[markerBegin_[b] .. [b+1]). */
+    std::vector<uint32_t> markerBegin_;
+    std::vector<unsigned> blockMarkers_;
+    /** Block holding each marker's call, kNoBlock if none. */
+    std::vector<uint32_t> markerBlock_;
+    std::vector<unsigned char> executedBlocks_;
 };
 
 /**

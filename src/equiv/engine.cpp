@@ -17,6 +17,38 @@
 
 namespace dce::equiv {
 
+namespace {
+
+/** Reject-reason labels (equiv.rejects{<reason>} metric keys). The
+ * first two count store records, the rest derived variants. */
+constexpr const char *kRejectMissingProgram = "missing-program";
+constexpr const char *kRejectBaseInvalid = "base-invalid";
+
+bool
+isRecordSkip(const std::string &reason)
+{
+    return reason == kRejectMissingProgram || reason == kRejectBaseInvalid;
+}
+
+} // namespace
+
+uint64_t
+EquivSummary::rejectedVariants() const
+{
+    return rejected() - skippedRecords();
+}
+
+uint64_t
+EquivSummary::skippedRecords() const
+{
+    uint64_t total = 0;
+    for (const auto &[reason, count] : rejects) {
+        if (isRecordSkip(reason))
+            total += count;
+    }
+    return total;
+}
+
 uint64_t
 EquivSummary::rejected() const
 {
@@ -39,9 +71,6 @@ countInstructions(const ir::Module &module)
 
 namespace {
 
-/** Reject-reason labels (equiv.rejects{<reason>} metric keys). */
-constexpr const char *kRejectMissingProgram = "missing-program";
-constexpr const char *kRejectBaseInvalid = "base-invalid";
 constexpr const char *kRejectNoEdit = "no-edit";
 constexpr const char *kRejectStale = "stale";
 constexpr const char *kRejectTrapTimeout = "trap-timeout";
@@ -403,7 +432,8 @@ runEquivAnalysis(corpus::CorpusStore &store, const EquivOptions &options)
                        {support::kPhaseEquiv, ~uint64_t{0}, 0})
             .num("programs", summary.programs)
             .num("variants", summary.variants)
-            .num("rejects", summary.rejected())
+            .num("rejects", summary.rejectedVariants())
+            .num("skipped", summary.skippedRecords())
             .num("findings", summary.findings.size())
             .num("outliers", summary.outliers.size()));
     return summary;
@@ -666,7 +696,9 @@ equivSummaryText(const EquivSummary &summary)
            std::to_string(summary.variantsPerProgram) +
            ", seed=" + std::to_string(summary.seed) +
            "): " + std::to_string(summary.variants) + " equivalent, " +
-           std::to_string(summary.rejected()) + " rejected\n";
+           std::to_string(summary.rejectedVariants()) + " rejected\n";
+    out += "records skipped: " + std::to_string(summary.skippedRecords()) +
+           "\n";
     for (const auto &[reason, count] : summary.rejects) {
         out += "  reject " + std::string(reason) + ": " +
                std::to_string(count) + "\n";

@@ -117,7 +117,13 @@ struct EquivSummary {
     std::vector<EquivFinding> findings;
     std::vector<EquivOutlier> outliers;
 
-    /** Sum over every reason, so it mixes both units of rejects. */
+    /** Discarded variants: the per-variant reasons only. */
+    uint64_t rejectedVariants() const;
+    /** Store records skipped whole (base-invalid, missing-program). */
+    uint64_t skippedRecords() const;
+    /** Sum over every reason, so it mixes both units: rejected
+     * variants plus skipped records. Reports and events show the two
+     * separately. */
     uint64_t rejected() const;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <functional>
 
 #include "support/ints.hpp"
 #include "support/trace.hpp"
@@ -26,9 +26,11 @@ using ir::ValueKind;
 
 namespace {
 
-/** One allocated memory object (global, or an executed alloca). */
+/** One allocated memory object (global, or an executed alloca): a
+ * window of the machine's flat slot heap. */
 struct MemObject {
-    std::vector<IValue> slots;
+    size_t offset = 0;
+    uint64_t count = 0;
     IrType elementType;
 };
 
@@ -37,12 +39,66 @@ struct ExecStop {
     ExecStatus status;
 };
 
+/** An operand as decoded: >= 0 is a frame slot, < 0 is the bitwise
+ * complement of an index into the immediates table (constants and
+ * global addresses, resolved once at decode time). */
+using OperandRef = int32_t;
+
+/** One decoded non-phi instruction (an entry of Machine::code_).
+ * Operands and successor block indices live in the machine's shared
+ * pools. */
+struct Step {
+    const Instr *instr = nullptr; ///< source: extras (binOp, cases, ...)
+    Opcode opcode = Opcode::Unreachable;
+    int32_t dest = -1;        ///< frame slot of the result, -1 if void
+    uint32_t operands = 0;    ///< first operand in Machine::operands_
+    uint32_t numOperands = 0;
+    uint32_t targets = 0;     ///< first successor in Machine::targets_
+    int32_t callee = -1;      ///< Call: callee position; -1 = external
+};
+
+/** One leading phi: its incoming (predecessor, value) pairs sit in
+ * Machine::incoming_ in the phi's operand order. */
+struct DecodedPhi {
+    int32_t dest = -1;
+    uint32_t incoming = 0;
+    uint32_t count = 0;
+};
+
+struct Incoming {
+    int32_t pred = -1; ///< predecessor block index within the function
+    OperandRef value = 0;
+};
+
+struct DecodedBlock {
+    uint32_t phis = 0, numPhis = 0;
+    uint32_t steps = 0, numSteps = 0;
+};
+
+/** A function decoded into flat frame slots: params take slots
+ * [0, numParams), every value-producing instruction one slot after. */
+struct DecodedFn {
+    const Function *fn = nullptr;
+    uint32_t blocks = 0;    ///< first block in Machine::blocks_
+    uint32_t blockBase = 0; ///< module layout number of its entry block
+    uint32_t numSlots = 0;
+};
+
+/**
+ * The execution engine. Every function with a body is decoded once per
+ * execution: SSA values map to frame slots through the module's dense
+ * value ids, operands to slot or immediate references, successors to
+ * block indices. Frames are windows of one value stack and memory
+ * objects windows of one slot heap, so the run itself allocates only
+ * when those grow.
+ */
 class Machine {
   public:
     Machine(const Module &module, const ExecLimits &limits)
         : module_(module), limits_(limits)
     {
         initGlobals();
+        decode();
     }
 
     ExecResult
@@ -55,17 +111,21 @@ class Machine {
             return result;
         }
         try {
-            IValue ret = callFunction(*fn, {});
+            const DecodedFn &decoded = fns_[positionOf(fn)];
+            stack_.resize(decoded.numSlots);
+            IValue ret = callFunction(decoded, 0);
             result.status = ExecStatus::Ok;
             result.exitValue = ret.i;
         } catch (ExecStop &stop) {
             result.status = stop.status;
         }
         result.steps = steps_;
-        result.executedBlocks = std::move(executedBlocks_);
-        result.callTrace = std::move(callTrace_);
-        for (const std::string &name : result.callTrace)
-            result.calledExternals.insert(name);
+        result.executedBlocks = std::move(executed_);
+        result.callTrace.reserve(callTrace_.size());
+        for (const std::string *name : callTrace_) {
+            result.callTrace.push_back(*name);
+            result.calledExternals.insert(*name);
+        }
         snapshotGlobals(result);
         return result;
     }
@@ -74,37 +134,216 @@ class Machine {
     void
     initGlobals()
     {
-        // Two passes: allocate all objects, then fill address inits.
-        for (const auto &global : module_.globals()) {
-            MemObject object;
-            object.elementType = global->elementType();
-            object.slots.assign(global->count(),
-                                zeroOf(global->elementType()));
-            globalObject_[global.get()] =
+        // Global i is memory object i. Two passes: allocate all
+        // objects, then fill address inits.
+        const auto &globals = module_.globals();
+        globalObjectById_.assign(module_.valueIdBound(), -1);
+        size_t total = 0;
+        for (const auto &global : globals)
+            total += global->count();
+        heap_.reserve(total);
+        objects_.reserve(globals.size());
+        for (const auto &global : globals) {
+            globalObjectById_[global->id()] =
                 static_cast<int32_t>(objects_.size());
-            objects_.push_back(std::move(object));
+            newObject(global->elementType(), global->count());
         }
-        for (const auto &global : module_.globals()) {
-            MemObject &object =
-                objects_[static_cast<size_t>(globalObject_.at(global.get()))];
-            for (size_t i = 0;
-                 i < global->init.size() && i < object.slots.size(); ++i) {
-                const ir::GlobalInit &init = global->init[i];
+        for (size_t g = 0; g < globals.size(); ++g) {
+            const GlobalVar &global = *globals[g];
+            const MemObject &object = objects_[g];
+            for (size_t i = 0; i < global.init.size() && i < object.count;
+                 ++i) {
+                const ir::GlobalInit &init = global.init[i];
+                IValue &slot = heap_[object.offset + i];
                 if (init.isAddress()) {
                     PtrVal ptr;
-                    ptr.obj = globalObject_.at(init.base);
+                    ptr.obj = globalObjectById_[init.base->id()];
                     ptr.index = init.value;
-                    object.slots[i] = IValue::ptrValue(ptr);
-                } else if (global->elementType().isPtr()) {
+                    slot = IValue::ptrValue(ptr);
+                } else if (global.elementType().isPtr()) {
                     assert(init.value == 0 && "int init of pointer slot");
-                    object.slots[i] = IValue::ptrValue(PtrVal{});
+                    slot = IValue::ptrValue(PtrVal{});
                 } else {
-                    object.slots[i] = IValue::intValue(
-                        wrapInt(init.value, global->elementType().bits,
-                                global->elementType().isSigned));
+                    slot = IValue::intValue(
+                        wrapInt(init.value, global.elementType().bits,
+                                global.elementType().isSigned));
                 }
             }
         }
+    }
+
+    /** Allocate a zero-initialized object; returns its handle. */
+    int32_t
+    newObject(IrType element_type, uint64_t count)
+    {
+        MemObject object;
+        object.offset = heap_.size();
+        object.count = count;
+        object.elementType = element_type;
+        heap_.insert(heap_.end(), count, zeroOf(element_type));
+        objects_.push_back(object);
+        return static_cast<int32_t>(objects_.size() - 1);
+    }
+
+    size_t
+    positionOf(const Function *fn) const
+    {
+        auto it = std::lower_bound(
+            fnPositions_.begin(), fnPositions_.end(), fn,
+            [](const auto &entry, const Function *key) {
+                return std::less<const Function *>()(entry.first, key);
+            });
+        assert(it != fnPositions_.end() && it->first == fn);
+        return it->second;
+    }
+
+    /** Decode every function with a body (see Machine). Pools are
+     * sized exactly up front. */
+    void
+    decode()
+    {
+        const auto &functions = module_.functions();
+        size_t num_blocks = 0, num_instrs = 0, num_operands = 0,
+               num_targets = 0;
+        fnPositions_.reserve(functions.size());
+        for (size_t f = 0; f < functions.size(); ++f) {
+            fnPositions_.emplace_back(functions[f].get(), f);
+            num_blocks += functions[f]->numBlocks();
+            for (const auto &block : functions[f]->blocks()) {
+                num_instrs += block->size();
+                for (const auto &instr : block->instrs()) {
+                    num_operands += instr->numOperands();
+                    num_targets += instr->blockOperands().size();
+                }
+            }
+        }
+        std::sort(fnPositions_.begin(), fnPositions_.end(),
+                  [](const auto &a, const auto &b) {
+                      return std::less<const Function *>()(a.first,
+                                                           b.first);
+                  });
+        fns_.resize(functions.size());
+        blocks_.reserve(num_blocks);
+        code_.reserve(num_instrs);
+        operands_.reserve(num_operands);
+        targets_.reserve(num_targets);
+        slotOfId_.assign(module_.valueIdBound(), -1);
+        if (limits_.recordBlocks)
+            executed_.assign(num_blocks, 0);
+
+        uint32_t block_base = 0;
+        for (size_t f = 0; f < functions.size(); ++f) {
+            const Function &fn = *functions[f];
+            DecodedFn &decoded = fns_[f];
+            decoded.fn = &fn;
+            decoded.blocks = static_cast<uint32_t>(blocks_.size());
+            decoded.blockBase = block_base;
+            block_base += static_cast<uint32_t>(fn.numBlocks());
+            if (fn.isDeclaration())
+                continue;
+            decodeFunction(fn, decoded);
+        }
+    }
+
+    void
+    decodeFunction(const Function &fn, DecodedFn &decoded)
+    {
+        // Slots first: operands may name values defined later in the
+        // layout (phis, back edges).
+        uint32_t slots = static_cast<uint32_t>(fn.params().size());
+        for (const auto &block : fn.blocks()) {
+            for (const auto &instr : block->instrs()) {
+                if (instr->type().isVoid())
+                    continue;
+                assert(instr->id() < slotOfId_.size() &&
+                       "instruction without a module value id");
+                slotOfId_[instr->id()] = static_cast<int32_t>(slots++);
+            }
+        }
+        decoded.numSlots = slots;
+
+        for (const auto &block : fn.blocks()) {
+            DecodedBlock db;
+            db.phis = static_cast<uint32_t>(phis_.size());
+            db.steps = static_cast<uint32_t>(code_.size());
+            bool leading = true;
+            for (const auto &owned : block->instrs()) {
+                const Instr *instr = owned.get();
+                if (instr->opcode() == Opcode::Phi) {
+                    // Only leading phis execute (on block entry); a
+                    // phi after other instructions is never evaluated.
+                    if (!leading)
+                        continue;
+                    DecodedPhi phi;
+                    phi.dest = slotOf(instr);
+                    phi.incoming = static_cast<uint32_t>(incoming_.size());
+                    phi.count = static_cast<uint32_t>(instr->numOperands());
+                    for (size_t i = 0; i < instr->numOperands(); ++i) {
+                        incoming_.push_back(
+                            {static_cast<int32_t>(
+                                 instr->blockOperand(i)->indexInFn()),
+                             operandRef(instr->operand(i))});
+                    }
+                    phis_.push_back(phi);
+                    continue;
+                }
+                leading = false;
+                Step step;
+                step.instr = instr;
+                step.opcode = instr->opcode();
+                step.dest = instr->type().isVoid() ? -1 : slotOf(instr);
+                step.operands = static_cast<uint32_t>(operands_.size());
+                step.numOperands =
+                    static_cast<uint32_t>(instr->numOperands());
+                for (const Value *operand : instr->operands())
+                    operands_.push_back(operandRef(operand));
+                step.targets = static_cast<uint32_t>(targets_.size());
+                for (const BasicBlock *target : instr->blockOperands())
+                    targets_.push_back(target->indexInFn());
+                if (step.opcode == Opcode::Call &&
+                    !instr->callee->isDeclaration()) {
+                    step.callee =
+                        static_cast<int32_t>(positionOf(instr->callee));
+                }
+                code_.push_back(step);
+            }
+            db.numPhis = static_cast<uint32_t>(phis_.size()) - db.phis;
+            db.numSteps = static_cast<uint32_t>(code_.size()) - db.steps;
+            blocks_.push_back(db);
+        }
+    }
+
+    int32_t
+    slotOf(const Instr *instr) const
+    {
+        return slotOfId_[instr->id()];
+    }
+
+    OperandRef
+    operandRef(const Value *value)
+    {
+        IValue immediate;
+        switch (value->valueKind()) {
+          case ValueKind::Constant: {
+            const auto *c = static_cast<const Constant *>(value);
+            immediate = c->type().isPtr() ? IValue::ptrValue(PtrVal{})
+                                          : IValue::intValue(c->value());
+            break;
+          }
+          case ValueKind::Global: {
+            PtrVal ptr;
+            ptr.obj = globalObjectById_[value->id()];
+            immediate = IValue::ptrValue(ptr);
+            break;
+          }
+          case ValueKind::Param:
+            return static_cast<OperandRef>(
+                static_cast<const Param *>(value)->index());
+          case ValueKind::Instruction:
+            return slotOf(static_cast<const Instr *>(value));
+        }
+        immediates_.push_back(immediate);
+        return ~static_cast<OperandRef>(immediates_.size() - 1);
     }
 
     static IValue
@@ -118,16 +357,16 @@ class Machine {
     void
     snapshotGlobals(ExecResult &result) const
     {
-        for (const auto &global : module_.globals()) {
+        const auto &globals = module_.globals();
+        for (size_t g = 0; g < globals.size(); ++g) {
             // Internal (C "static") globals are unobservable once main
             // returns; optimizations may legally drop final stores to
             // them (that is what dead-store elimination on Listing 1's
             // `c = 0;` does). Only external globals are part of the
             // observable behaviour.
-            if (global->isInternal())
+            if (globals[g]->isInternal())
                 continue;
-            const MemObject &object = objects_[static_cast<size_t>(
-                globalObject_.at(global.get()))];
+            const MemObject &object = objects_[g];
             // Pointer slots are normalized to *name-rank* object ids:
             // two modules optimized differently (global DCE may have
             // removed unused internals) number their objects
@@ -135,13 +374,16 @@ class Machine {
             // across them. Non-global targets (allocas) normalize to a
             // sentinel; MiniC programs cannot observe local addresses
             // after main returns anyway.
-            std::vector<IValue> slots = object.slots;
+            auto first = heap_.begin() +
+                         static_cast<ptrdiff_t>(object.offset);
+            std::vector<IValue> slots(
+                first, first + static_cast<ptrdiff_t>(object.count));
             for (IValue &slot : slots) {
                 if (!slot.isPtr || slot.p.isNull())
                     continue;
                 slot.p.obj = nameRankOf(slot.p.obj);
             }
-            result.finalGlobals[global->name()] = std::move(slots);
+            result.finalGlobals[globals[g]->name()] = std::move(slots);
         }
     }
 
@@ -152,19 +394,18 @@ class Machine {
     int32_t
     nameRankOf(int32_t object_id) const
     {
-        for (const auto &global : module_.globals()) {
-            if (globalObject_.at(global.get()) != object_id)
-                continue;
-            uint32_t hash = 2166136261u;
-            for (char c : global->name()) {
-                hash ^= static_cast<unsigned char>(c);
-                hash *= 16777619u;
-            }
-            // Keep it positive so it can never collide with the null
-            // (-1) or non-global (-2) sentinels.
-            return static_cast<int32_t>(hash & 0x7fffffffu);
+        const auto &globals = module_.globals();
+        if (object_id < 0 ||
+            static_cast<size_t>(object_id) >= globals.size())
+            return -2; // an alloca or other non-global object
+        uint32_t hash = 2166136261u;
+        for (char c : globals[static_cast<size_t>(object_id)]->name()) {
+            hash ^= static_cast<unsigned char>(c);
+            hash *= 16777619u;
         }
-        return -2; // an alloca or other non-global object
+        // Keep it positive so it can never collide with the null
+        // (-1) or non-global (-2) sentinels.
+        return static_cast<int32_t>(hash & 0x7fffffffu);
     }
 
     void
@@ -174,34 +415,17 @@ class Machine {
             throw ExecStop{ExecStatus::Timeout};
     }
 
-    /** Frame-local SSA environment. */
-    using Env = std::unordered_map<const Value *, IValue>;
+    IValue
+    value(OperandRef ref, size_t frame) const
+    {
+        return ref >= 0 ? stack_[frame + static_cast<size_t>(ref)]
+                        : immediates_[static_cast<size_t>(~ref)];
+    }
 
     IValue
-    evalOperand(const Value *value, const Env &env) const
+    operand(const Step &step, size_t index, size_t frame) const
     {
-        switch (value->valueKind()) {
-          case ValueKind::Constant: {
-            const auto *c = static_cast<const Constant *>(value);
-            if (c->type().isPtr())
-                return IValue::ptrValue(PtrVal{});
-            return IValue::intValue(c->value());
-          }
-          case ValueKind::Global: {
-            const auto *global = static_cast<const GlobalVar *>(value);
-            PtrVal ptr;
-            ptr.obj = globalObject_.at(global);
-            ptr.index = 0;
-            return IValue::ptrValue(ptr);
-          }
-          case ValueKind::Param:
-          case ValueKind::Instruction: {
-            auto it = env.find(value);
-            assert(it != env.end() && "use of undefined value");
-            return it->second;
-          }
-        }
-        return IValue::intValue(0);
+        return value(operands_[step.operands + index], frame);
     }
 
     IValue
@@ -211,10 +435,10 @@ class Machine {
             return zeroOf(type);
         const MemObject &object = objects_[static_cast<size_t>(ptr.obj)];
         if (ptr.index < 0 ||
-            static_cast<uint64_t>(ptr.index) >= object.slots.size()) {
+            static_cast<uint64_t>(ptr.index) >= object.count) {
             return zeroOf(type); // OOB load: defined as zero
         }
-        IValue slot = object.slots[static_cast<size_t>(ptr.index)];
+        IValue slot = heap_[object.offset + static_cast<size_t>(ptr.index)];
         if (type.isPtr())
             return slot.isPtr ? slot : IValue::ptrValue(PtrVal{});
         int64_t raw = slot.isPtr ? 0 : slot.i;
@@ -226,9 +450,9 @@ class Machine {
     {
         if (ptr.isNull())
             return; // dropped, defined
-        MemObject &object = objects_[static_cast<size_t>(ptr.obj)];
+        const MemObject &object = objects_[static_cast<size_t>(ptr.obj)];
         if (ptr.index < 0 ||
-            static_cast<uint64_t>(ptr.index) >= object.slots.size()) {
+            static_cast<uint64_t>(ptr.index) >= object.count) {
             return; // OOB store: dropped
         }
         // Canonicalize integers to the slot's element type so memory
@@ -237,7 +461,7 @@ class Machine {
             value.i = wrapInt(value.i, object.elementType.bits,
                               object.elementType.isSigned);
         }
-        object.slots[static_cast<size_t>(ptr.index)] = value;
+        heap_[object.offset + static_cast<size_t>(ptr.index)] = value;
     }
 
     static int64_t
@@ -308,153 +532,140 @@ class Machine {
         return false;
     }
 
+    /** Run @p fn in the frame starting at stack_[frame], whose param
+     * slots the caller has filled. The stack may reallocate during
+     * nested calls, so slots are always addressed by index. */
     IValue
-    callFunction(const Function &fn, const std::vector<IValue> &args)
+    callFunction(const DecodedFn &fn, size_t frame)
     {
         if (++callDepth_ > limits_.maxCallDepth)
             throw ExecStop{ExecStatus::Trap};
 
-        Env env;
-        for (size_t i = 0; i < fn.params().size(); ++i)
-            env[fn.params()[i].get()] = args[i];
-
-        const BasicBlock *block = fn.entry();
-        const BasicBlock *previous = nullptr;
-        IValue return_value = zeroOf(fn.returnType());
-
+        int32_t block = 0; // entry
+        int32_t previous = -1;
         for (;;) {
+            const DecodedBlock &db =
+                blocks_[fn.blocks + static_cast<uint32_t>(block)];
             if (limits_.recordBlocks)
-                executedBlocks_.insert(block);
-            // Phi nodes evaluate simultaneously on block entry.
-            std::vector<std::pair<const Instr *, IValue>> phi_values;
-            for (const auto &instr : block->instrs()) {
-                if (instr->opcode() != Opcode::Phi)
-                    break;
-                Value *incoming = instr->incomingValueFor(previous);
-                assert(incoming && "phi has no incoming for pred");
-                phi_values.emplace_back(instr.get(),
-                                        evalOperand(incoming, env));
+                executed_[fn.blockBase + static_cast<uint32_t>(block)] = 1;
+            if (db.numPhis) {
+                // Phi nodes evaluate simultaneously on block entry.
+                phiValues_.clear();
+                for (uint32_t p = db.phis; p < db.phis + db.numPhis; ++p) {
+                    const DecodedPhi &phi = phis_[p];
+                    const Incoming *in = &incoming_[phi.incoming];
+                    const Incoming *last = in + phi.count;
+                    while (in != last && in->pred != previous)
+                        ++in;
+                    assert(in != last && "phi has no incoming for pred");
+                    phiValues_.push_back(value(in->value, frame));
+                }
+                for (uint32_t p = 0; p < db.numPhis; ++p)
+                    stack_[frame + static_cast<size_t>(
+                                       phis_[db.phis + p].dest)] =
+                        phiValues_[p];
             }
-            for (auto &[phi, value] : phi_values)
-                env[phi] = value;
 
-            const BasicBlock *next = nullptr;
-            for (const auto &owned : block->instrs()) {
-                const Instr *instr = owned.get();
-                if (instr->opcode() == Opcode::Phi)
-                    continue;
+            int32_t next = -1;
+            for (uint32_t s = db.steps; s < db.steps + db.numSteps; ++s) {
+                const Step &step = code_[s];
+                const Instr *instr = step.instr;
                 tick();
-                switch (instr->opcode()) {
+                IValue result;
+                switch (step.opcode) {
                   case Opcode::Alloca: {
-                    MemObject object;
-                    object.elementType = instr->allocatedType;
-                    object.slots.assign(instr->allocatedCount,
-                                        zeroOf(instr->allocatedType));
                     PtrVal ptr;
-                    ptr.obj = static_cast<int32_t>(objects_.size());
-                    objects_.push_back(std::move(object));
-                    env[instr] = IValue::ptrValue(ptr);
+                    ptr.obj = newObject(instr->allocatedType,
+                                        instr->allocatedCount);
+                    result = IValue::ptrValue(ptr);
                     break;
                   }
-                  case Opcode::Load: {
-                    PtrVal ptr = evalOperand(instr->operand(0), env).p;
-                    env[instr] = loadFrom(ptr, instr->type());
+                  case Opcode::Load:
+                    result = loadFrom(operand(step, 0, frame).p,
+                                      instr->type());
                     break;
-                  }
-                  case Opcode::Store: {
-                    IValue value = evalOperand(instr->operand(0), env);
-                    PtrVal ptr = evalOperand(instr->operand(1), env).p;
-                    storeTo(ptr, value);
+                  case Opcode::Store:
+                    storeTo(operand(step, 1, frame).p,
+                            operand(step, 0, frame));
                     break;
-                  }
-                  case Opcode::Bin: {
-                    int64_t a = evalOperand(instr->operand(0), env).i;
-                    int64_t b = evalOperand(instr->operand(1), env).i;
-                    env[instr] = IValue::intValue(
-                        evalBin(instr->binOp, a, b, instr->type()));
+                  case Opcode::Bin:
+                    result = IValue::intValue(
+                        evalBin(instr->binOp, operand(step, 0, frame).i,
+                                operand(step, 1, frame).i,
+                                instr->type()));
                     break;
-                  }
                   case Opcode::Cmp: {
-                    IValue a = evalOperand(instr->operand(0), env);
-                    IValue b = evalOperand(instr->operand(1), env);
-                    bool result;
+                    IValue a = operand(step, 0, frame);
+                    IValue b = operand(step, 1, frame);
+                    bool taken;
                     if (a.isPtr || b.isPtr)
-                        result = evalCmpPtr(instr->cmpPred, a.p, b.p);
+                        taken = evalCmpPtr(instr->cmpPred, a.p, b.p);
                     else
-                        result = evalCmpInt(instr->cmpPred, a.i, b.i);
-                    env[instr] = IValue::intValue(result ? 1 : 0);
+                        taken = evalCmpInt(instr->cmpPred, a.i, b.i);
+                    result = IValue::intValue(taken ? 1 : 0);
                     break;
                   }
                   case Opcode::Cast: {
-                    int64_t value =
-                        evalOperand(instr->operand(0), env).i;
                     IrType to = instr->type();
-                    env[instr] = IValue::intValue(
-                        wrapInt(value, to.bits, to.isSigned));
+                    result = IValue::intValue(wrapInt(
+                        operand(step, 0, frame).i, to.bits, to.isSigned));
                     break;
                   }
                   case Opcode::Gep: {
-                    IValue base = evalOperand(instr->operand(0), env);
-                    int64_t index =
-                        evalOperand(instr->operand(1), env).i;
-                    PtrVal ptr = base.p;
+                    PtrVal ptr = operand(step, 0, frame).p;
                     if (!ptr.isNull())
-                        ptr.index += index;
-                    env[instr] = IValue::ptrValue(ptr);
+                        ptr.index += operand(step, 1, frame).i;
+                    result = IValue::ptrValue(ptr);
                     break;
                   }
                   case Opcode::Freeze:
-                    env[instr] = evalOperand(instr->operand(0), env);
+                    result = operand(step, 0, frame);
                     break;
                   case Opcode::Select: {
-                    int64_t cond =
-                        evalOperand(instr->operand(0), env).i;
-                    env[instr] = evalOperand(
-                        instr->operand(cond != 0 ? 1 : 2), env);
+                    int64_t cond = operand(step, 0, frame).i;
+                    result = operand(step, cond != 0 ? 1 : 2, frame);
                     break;
                   }
                   case Opcode::Call: {
-                    const Function *callee = instr->callee;
-                    if (callee->isDeclaration()) {
-                        callTrace_.push_back(callee->name());
-                        if (!instr->type().isVoid())
-                            env[instr] = zeroOf(instr->type());
+                    if (step.callee < 0) {
+                        callTrace_.push_back(&instr->callee->name());
+                        result = zeroOf(instr->type());
                         break;
                     }
-                    std::vector<IValue> call_args;
-                    call_args.reserve(instr->numOperands());
-                    for (size_t i = 0; i < instr->numOperands(); ++i)
-                        call_args.push_back(
-                            evalOperand(instr->operand(i), env));
-                    IValue result = callFunction(*callee, call_args);
-                    if (!instr->type().isVoid())
-                        env[instr] = result;
+                    const DecodedFn &callee =
+                        fns_[static_cast<size_t>(step.callee)];
+                    size_t callee_frame = stack_.size();
+                    stack_.resize(callee_frame + callee.numSlots);
+                    for (uint32_t i = 0; i < step.numOperands; ++i)
+                        stack_[callee_frame + i] = operand(step, i, frame);
+                    result = callFunction(callee, callee_frame);
+                    stack_.resize(callee_frame);
                     break;
                   }
-                  case Opcode::Ret:
-                    if (instr->numOperands() == 1)
-                        return_value =
-                            evalOperand(instr->operand(0), env);
+                  case Opcode::Ret: {
+                    IValue ret = step.numOperands == 1
+                                     ? operand(step, 0, frame)
+                                     : zeroOf(fn.fn->returnType());
                     --callDepth_;
-                    return return_value;
+                    return ret;
+                  }
                   case Opcode::Br:
-                    next = instr->blockOperands()[0];
+                    next = targets_[step.targets];
                     break;
                   case Opcode::CondBr: {
-                    IValue cond = evalOperand(instr->operand(0), env);
+                    IValue cond = operand(step, 0, frame);
                     bool taken = cond.isPtr ? !cond.p.isNull()
                                             : cond.i != 0;
-                    next = instr->blockOperands()[taken ? 0 : 1];
+                    next = targets_[step.targets + (taken ? 0 : 1)];
                     break;
                   }
                   case Opcode::Switch: {
-                    int64_t value =
-                        evalOperand(instr->operand(0), env).i;
-                    next = instr->blockOperands()[0]; // default
+                    int64_t value = operand(step, 0, frame).i;
+                    next = targets_[step.targets]; // default
                     for (size_t i = 0; i < instr->caseValues.size();
                          ++i) {
                         if (instr->caseValues[i] == value) {
-                            next = instr->blockOperands()[i + 1];
+                            next = targets_[step.targets + 1 + i];
                             break;
                         }
                     }
@@ -465,12 +676,14 @@ class Machine {
                     // programs never execute one.
                     throw ExecStop{ExecStatus::Trap};
                   case Opcode::Phi:
-                    break; // handled above
+                    break; // never decoded as a step
                 }
-                if (next)
+                if (step.dest >= 0)
+                    stack_[frame + static_cast<size_t>(step.dest)] = result;
+                if (next >= 0)
                     break;
             }
-            assert(next && "block fell through without terminator");
+            assert(next >= 0 && "block fell through without terminator");
             previous = block;
             block = next;
         }
@@ -478,10 +691,27 @@ class Machine {
 
     const Module &module_;
     ExecLimits limits_;
+
+    // Decoded program (fixed after construction).
+    std::vector<std::pair<const Function *, size_t>> fnPositions_;
+    std::vector<DecodedFn> fns_;
+    std::vector<DecodedBlock> blocks_;
+    std::vector<Step> code_;
+    std::vector<DecodedPhi> phis_;
+    std::vector<Incoming> incoming_;
+    std::vector<OperandRef> operands_;
+    std::vector<int32_t> targets_;
+    std::vector<IValue> immediates_;
+    std::vector<int32_t> slotOfId_;
+    std::vector<int32_t> globalObjectById_;
+
+    // Execution state.
+    std::vector<IValue> stack_;
+    std::vector<IValue> phiValues_;
     std::vector<MemObject> objects_;
-    std::unordered_map<const GlobalVar *, int32_t> globalObject_;
-    std::vector<std::string> callTrace_;
-    std::unordered_set<const BasicBlock *> executedBlocks_;
+    std::vector<IValue> heap_;
+    std::vector<const std::string *> callTrace_;
+    std::vector<unsigned char> executed_;
     uint64_t steps_ = 0;
     unsigned callDepth_ = 0;
 };

@@ -16,6 +16,13 @@
  * outcome: allocas are zero-initialized, out-of-bounds loads yield 0,
  * out-of-bounds stores are dropped, pointers to distinct objects never
  * compare equal, and arithmetic follows support/ints.hpp.
+ *
+ * Each execution first decodes every function with a body into flat
+ * frame slots, keyed by the module's dense value ids (so every
+ * value-producing instruction must carry a unique id below
+ * Module::valueIdBound(), as the IR guarantees). Only the leading phis
+ * of a block execute, simultaneously, on entry; every other
+ * instruction costs one step.
  */
 #pragma once
 
@@ -23,7 +30,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -85,10 +91,13 @@ struct ExecResult {
     std::set<std::string> calledExternals;
     /** Final global memory (name -> slot values), for validation. */
     std::map<std::string, std::vector<IValue>> finalGlobals;
-    /** Basic blocks entered at least once (filled when
-     * ExecLimits::recordBlocks is set). Pointers into the executed
-     * module — keep it alive while using this. */
-    std::unordered_set<const ir::BasicBlock *> executedBlocks;
+    /** Blocks entered at least once, one flag per block in module
+     * layout order: the functions in Module::functions() order, each
+     * function's blocks in Function::blocks() order. Empty unless
+     * ExecLimits::recordBlocks was set. Layout positions, not
+     * pointers: the record stays valid for any module with the same
+     * layout, such as another lowering of the same unit. */
+    std::vector<unsigned char> executedBlocks;
 
     bool ok() const { return status == ExecStatus::Ok; }
 };
@@ -97,8 +106,8 @@ struct ExecResult {
 struct ExecLimits {
     uint64_t maxSteps = 2'000'000;
     unsigned maxCallDepth = 128;
-    /** Record the set of executed basic blocks (primary-marker CFG
-     * analysis needs per-block ground truth). */
+    /** Record which basic blocks execute (ExecResult::executedBlocks;
+     * primary-marker CFG analysis needs per-block ground truth). */
     bool recordBlocks = false;
 };
 

@@ -13,13 +13,19 @@ PredecessorMap::PredecessorMap(const Function &fn)
     }
 }
 
-std::vector<unsigned char>
-reachableBlockFlags(const Function &fn)
+namespace {
+
+/** Fill @p reachable (resized to fn's block count) with reachable-
+ * from-entry flags. */
+void
+markReachable(const Function &fn, std::vector<unsigned char> &reachable)
 {
-    std::vector<unsigned char> reachable(fn.numBlocks(), 0);
+    reachable.assign(fn.numBlocks(), 0);
     if (fn.isDeclaration())
-        return reachable;
-    std::vector<const BasicBlock *> worklist = {fn.entry()};
+        return;
+    // Per-thread scratch: reset here, never live across another walk.
+    thread_local std::vector<const BasicBlock *> worklist;
+    worklist.assign(1, fn.entry());
     reachable[fn.entry()->indexInFn()] = 1;
     while (!worklist.empty()) {
         const BasicBlock *block = worklist.back();
@@ -32,6 +38,15 @@ reachableBlockFlags(const Function &fn)
             }
         }
     }
+}
+
+} // namespace
+
+std::vector<unsigned char>
+reachableBlockFlags(const Function &fn)
+{
+    std::vector<unsigned char> reachable;
+    markReachable(fn, reachable);
     return reachable;
 }
 
@@ -53,6 +68,7 @@ reversePostorder(const Function &fn)
     std::vector<BasicBlock *> order;
     if (fn.isDeclaration())
         return order;
+    order.reserve(fn.numBlocks());
 
     // Iterative DFS to avoid stack overflow on long CFG chains. Each
     // frame walks the block's successor list in place — terminators
@@ -62,8 +78,10 @@ reversePostorder(const Function &fn)
         const support::SmallVector<BasicBlock *, 2> *succs;
         size_t next = 0;
     };
-    std::vector<unsigned char> visited(fn.numBlocks(), 0);
-    std::vector<Frame> stack;
+    thread_local std::vector<unsigned char> visited;
+    thread_local std::vector<Frame> stack;
+    visited.assign(fn.numBlocks(), 0);
+    stack.clear();
     visited[fn.entry()->indexInFn()] = 1;
     stack.push_back({fn.entry(), &fn.entry()->successors(), 0});
     while (!stack.empty()) {
@@ -89,18 +107,24 @@ removeUnreachableBlocks(Function &fn)
 {
     if (fn.isDeclaration())
         return 0;
-    std::vector<unsigned char> reachable = reachableBlockFlags(fn);
+    // Per-thread scratch, reset by markReachable.
+    thread_local std::vector<unsigned char> reachable;
+    markReachable(fn, reachable);
+    size_t live = 0;
+    for (unsigned char flag : reachable)
+        live += flag;
+    if (live == reachable.size())
+        return 0;
 
     // Collect doomed blocks first; then fix phis in survivors; then
     // erase (eraseBlock drops operand uses, so cross-references among
     // doomed blocks are fine in any order).
     std::vector<BasicBlock *> doomed;
+    doomed.reserve(reachable.size() - live);
     for (const auto &block : fn.blocks()) {
         if (!reachable[block->indexInFn()])
             doomed.push_back(block.get());
     }
-    if (doomed.empty())
-        return 0;
 
     for (const auto &block : fn.blocks()) {
         if (!reachable[block->indexInFn()])

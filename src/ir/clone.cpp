@@ -1,6 +1,8 @@
 #include "ir/clone.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "support/trace.hpp"
 
@@ -46,10 +48,11 @@ cloneModule(const Module &module)
     auto clone = std::make_unique<Module>();
     // Flat maps: globals, instructions, and constants resolve through
     // their dense value id; blocks positionally via indexInFn; params
-    // (no ids) positionally via their owning function. Only the
-    // function map stays hashed, and it is tiny.
+    // (no ids) positionally via their owning function; functions
+    // through a sorted (source, copy) table.
     std::vector<Value *> value_map(module.valueIdBound(), nullptr);
-    std::unordered_map<const Function *, Function *> fn_map;
+    std::vector<std::pair<const Function *, Function *>> fn_map;
+    fn_map.reserve(module.functions().size());
 
     // Globals: create all objects first, then copy initializers (they
     // may hold the address of any other global).
@@ -84,35 +87,69 @@ cloneModule(const Module &module)
         copy->setNoDce(fn->noDce());
         for (const auto &param : fn->params())
             copy->addParam(param->type(), param->name());
-        fn_map[fn.get()] = copy;
+        fn_map.emplace_back(fn.get(), copy);
         for (const auto &block : fn->blocks())
-            copy->addBlock(block->name());
+            copy->addBlock(block->name())->reserve(block->size());
     }
+    std::sort(fn_map.begin(), fn_map.end(),
+              [](const auto &a, const auto &b) {
+                  return std::less<const Function *>()(a.first, b.first);
+              });
+    auto copy_of = [&fn_map](const Function *fn) {
+        auto it = std::lower_bound(
+            fn_map.begin(), fn_map.end(), fn,
+            [](const auto &entry, const Function *key) {
+                return std::less<const Function *>()(entry.first, key);
+            });
+        assert(it != fn_map.end() && it->first == fn);
+        return it->second;
+    };
 
-    // Clone instructions (operands still point into the source module).
-    // Void instructions are never operands, so only value-producing
-    // ones (which all carry unique ids) enter the map.
+    // Instruction shells, without operands: operands may name values
+    // defined later in the layout. Void instructions are never
+    // operands, so only value-producing ones (which all carry unique
+    // ids) enter the map.
     for (const auto &fn : module.functions()) {
-        Function *dest_fn = fn_map.at(fn.get());
+        Function *dest_fn = copy_of(fn.get());
         for (size_t b = 0; b < fn->blocks().size(); ++b) {
             BasicBlock *dest = dest_fn->blocks()[b].get();
             for (const auto &instr : fn->blocks()[b]->instrs()) {
-                Instr *copied =
-                    dest->append(cloneInstr(*instr, *clone));
-                if (!instr->type().isVoid())
-                    value_map[instr->id()] = copied;
+                InstrPtr copy =
+                    clone->newInstr(instr->opcode(), instr->type());
+                copy->binOp = instr->binOp;
+                copy->cmpPred = instr->cmpPred;
+                copy->castOp = instr->castOp;
+                if (instr->callee)
+                    copy->callee = copy_of(instr->callee);
+                copy->allocatedType = instr->allocatedType;
+                copy->allocatedCount = instr->allocatedCount;
+                copy->allocaIsArray = instr->allocaIsArray;
+                copy->gepElemSize = instr->gepElemSize;
+                copy->caseValues = instr->caseValues;
+                for (BasicBlock *target : instr->blockOperands()) {
+                    copy->addBlockOperand(
+                        dest_fn->blocks()[target->indexInFn()].get());
+                }
+                if (!instr->type().isVoid()) {
+                    copy->setId(clone->nextValueId());
+                    value_map[instr->id()] = copy.get();
+                }
+                dest->append(std::move(copy));
             }
         }
     }
 
-    // Remap every reference into the clone. Constants are interned
-    // lazily in the clone's pool; everything else was mapped above.
+    // Operands, mapped into the clone. Constants are interned lazily
+    // in the clone's pool; everything else was mapped above. Walking
+    // in layout order gives every use list the order a fresh lowering
+    // would.
     for (const auto &fn : module.functions()) {
-        Function *dest_fn = fn_map.at(fn.get());
-        for (const auto &dest_block : dest_fn->blocks()) {
-            for (const auto &instr : dest_block->instrs()) {
-                for (size_t i = 0; i < instr->numOperands(); ++i) {
-                    Value *operand = instr->operand(i);
+        Function *dest_fn = copy_of(fn.get());
+        for (size_t b = 0; b < fn->blocks().size(); ++b) {
+            const auto &source = fn->blocks()[b]->instrs();
+            const auto &dest = dest_fn->blocks()[b]->instrs();
+            for (size_t i = 0; i < source.size(); ++i) {
+                for (Value *operand : source[i]->operands()) {
                     Value *mapped;
                     switch (operand->valueKind()) {
                       case ValueKind::Param:
@@ -137,14 +174,8 @@ cloneModule(const Module &module)
                         break;
                     }
                     assert(mapped && "unmapped operand in clone");
-                    instr->setOperand(i, mapped);
+                    dest[i]->addOperand(mapped);
                 }
-                for (BasicBlock *&target : instr->blockOperands()) {
-                    target =
-                        dest_fn->blocks()[target->indexInFn()].get();
-                }
-                if (instr->callee)
-                    instr->callee = fn_map.at(instr->callee);
             }
         }
     }

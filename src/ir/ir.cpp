@@ -321,16 +321,15 @@ BasicBlock::detach(Instr *instr)
     return owned;
 }
 
-std::vector<Instr *>
+BasicBlock::PhiRange
 BasicBlock::phis() const
 {
-    std::vector<Instr *> result;
-    for (const auto &instr : instrs_) {
-        if (instr->opcode() != Opcode::Phi)
-            break;
-        result.push_back(instr.get());
-    }
-    return result;
+    const InstrPtr *first = instrs_.data();
+    const InstrPtr *last = first;
+    const InstrPtr *end = first + instrs_.size();
+    while (last != end && (*last)->opcode() == Opcode::Phi)
+        ++last;
+    return PhiRange(first, last);
 }
 
 void

@@ -26,7 +26,9 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -419,8 +421,60 @@ class BasicBlock {
         return append(std::move(instr));
     }
 
-    /** All phis sit at the top of a block. */
-    std::vector<Instr *> phis() const;
+    /**
+     * The leading phis (all phis sit at the top of a block), as a view
+     * of the instruction list — no copy. Invalidated by any insertion
+     * into or removal from this block: a loop that erases or inserts
+     * here must walk indices instead.
+     */
+    class PhiRange {
+      public:
+        class iterator {
+          public:
+            using iterator_category = std::forward_iterator_tag;
+            using value_type = Instr *;
+            using difference_type = std::ptrdiff_t;
+            using pointer = Instr *const *;
+            using reference = Instr *;
+
+            iterator() = default;
+            explicit iterator(const InstrPtr *pos) : pos_(pos) {}
+            Instr *operator*() const { return pos_->get(); }
+            iterator &
+            operator++()
+            {
+                ++pos_;
+                return *this;
+            }
+            iterator
+            operator++(int)
+            {
+                iterator old = *this;
+                ++pos_;
+                return old;
+            }
+            bool operator==(const iterator &) const = default;
+
+          private:
+            const InstrPtr *pos_ = nullptr;
+        };
+
+        PhiRange(const InstrPtr *begin, const InstrPtr *end)
+            : begin_(begin), end_(end)
+        {
+        }
+        iterator begin() const { return iterator(begin_); }
+        iterator end() const { return iterator(end_); }
+        size_t size() const { return static_cast<size_t>(end_ - begin_); }
+        bool empty() const { return begin_ == end_; }
+
+      private:
+        const InstrPtr *begin_;
+        const InstrPtr *end_;
+    };
+    PhiRange phis() const;
+    /** Reserve room for @p count instructions (bulk construction). */
+    void reserve(size_t count) { instrs_.reserve(count); }
     /** Update phi bookkeeping when predecessor @p from becomes @p to. */
     void replacePhiIncomingBlock(BasicBlock *from, BasicBlock *to);
     /** Remove incoming entries for a predecessor that no longer

@@ -1,5 +1,8 @@
 #include "opt/alias.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <functional>
 #include <vector>
 
 #include "support/trace.hpp"
@@ -91,12 +94,14 @@ alias(const Value *a, const Value *b)
 EscapeInfo::EscapeInfo(const Module &module)
 {
     support::TraceSpan span("escapeinfo", "analysis");
+    escaped_.assign(module.valueIdBound(), 0);
+    visited_.assign(module.valueIdBound(), 0);
     // A global referenced by another global's initializer is reachable
     // through memory, i.e. escaped.
     for (const auto &global : module.globals()) {
         for (const ir::GlobalInit &init : global->init) {
             if (init.isAddress())
-                escaped_.insert(init.base);
+                escaped_[init.base->id()] = 1;
         }
     }
     for (const auto &global : module.globals())
@@ -114,19 +119,21 @@ EscapeInfo::EscapeInfo(const Module &module)
 void
 EscapeInfo::markEscaping(const Value *root)
 {
-    if (escaped_.count(root))
+    if (escaped_[root->id()])
         return;
     // Chase every SSA value derived from the object's address. If any
     // derived pointer is stored to memory, passed to a call, returned,
     // or flows somewhere we cannot track (phi/select merge is tracked;
     // being a store *value* is not), the object escapes.
-    std::vector<const Value *> worklist = {root};
-    std::unordered_set<const Value *> visited;
+    std::vector<const Value *> &worklist = worklist_;
+    worklist.assign(1, root);
+    ++stamp_;
     while (!worklist.empty()) {
         const Value *value = worklist.back();
         worklist.pop_back();
-        if (!visited.insert(value).second)
+        if (visited_[value->id()] == stamp_)
             continue;
+        visited_[value->id()] = stamp_;
         for (const Instr *user : value->users()) {
             switch (user->opcode()) {
               case Opcode::Load:
@@ -135,7 +142,7 @@ EscapeInfo::markEscaping(const Value *root)
                 // Fine when the pointer is the *address*; escaping when
                 // it is the stored value.
                 if (user->operand(0) == value) {
-                    escaped_.insert(root);
+                    escaped_[root->id()] = 1;
                     return;
                 }
                 break;
@@ -154,12 +161,12 @@ EscapeInfo::markEscaping(const Value *root)
                 break;
               case Opcode::Call:
               case Opcode::Ret:
-                escaped_.insert(root);
+                escaped_[root->id()] = 1;
                 return;
               default:
                 // Unexpected use of a pointer (bin/cast impossible in
                 // well-typed IR); be conservative.
-                escaped_.insert(root);
+                escaped_[root->id()] = 1;
                 return;
             }
         }
@@ -195,16 +202,20 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
     const auto &functions = module.functions();
     const unsigned num_globals = static_cast<unsigned>(globals.size());
     const size_t words = (num_globals + 63) / 64;
-    globalIndex_.reserve(num_globals);
+    globalIndex_.assign(module.valueIdBound(), -1);
     for (unsigned i = 0; i < num_globals; ++i)
-        globalIndex_[globals[i].get()] = i;
+        globalIndex_[globals[i]->id()] = static_cast<int>(i);
     fnIndex_.reserve(functions.size());
     effects_.resize(functions.size());
     for (unsigned i = 0; i < functions.size(); ++i) {
-        fnIndex_[functions[i].get()] = i;
+        fnIndex_.emplace_back(functions[i].get(), i);
         effects_[i].reads.resize(words, 0);
         effects_[i].writes.resize(words, 0);
     }
+    std::sort(fnIndex_.begin(), fnIndex_.end(),
+              [](const auto &a, const auto &b) {
+                  return std::less<const Function *>()(a.first, b.first);
+              });
 
     // An external callee may touch every non-internal global, anything
     // escaped, and may call back into this module's non-internal
@@ -236,7 +247,7 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
         for (const auto &block : fn->blocks()) {
             for (const auto &instr : block->instrs()) {
                 if (instr->opcode() == Opcode::Call) {
-                    unsigned callee = fnIndex_.at(instr->callee);
+                    unsigned callee = fnIndex(instr->callee);
                     bool seen = false;
                     for (unsigned c : callees[f])
                         seen |= c == callee;
@@ -254,7 +265,7 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
                         auto *g = static_cast<const GlobalVar *>(
                             base.object);
                         setBit(is_store ? eff.writes : eff.reads,
-                               globalIndex_.at(g));
+                               static_cast<unsigned>(globalIndex(g)));
                     } else if (base.kind == PtrBase::Kind::Unknown) {
                         // Could be any escaped object or a global
                         // whose address escaped.
@@ -314,20 +325,33 @@ MemorySummary::MemorySummary(const Module &module, const EscapeInfo &escape)
     }
 }
 
+unsigned
+MemorySummary::fnIndex(const Function *fn) const
+{
+    auto it = std::lower_bound(
+        fnIndex_.begin(), fnIndex_.end(), fn,
+        [](const auto &entry, const Function *key) {
+            return std::less<const Function *>()(entry.first, key);
+        });
+    assert(it != fnIndex_.end() && it->first == fn &&
+           "function not in the summarized module");
+    return it->second;
+}
+
 bool
 MemorySummary::mayRead(const Function *fn, const GlobalVar *g) const
 {
-    auto it = globalIndex_.find(g);
-    return it != globalIndex_.end() &&
-           testBit(effectsOf(fn).reads, it->second);
+    int index = globalIndex(g);
+    return index >= 0 &&
+           testBit(effectsOf(fn).reads, static_cast<unsigned>(index));
 }
 
 bool
 MemorySummary::mayWrite(const Function *fn, const GlobalVar *g) const
 {
-    auto it = globalIndex_.find(g);
-    return it != globalIndex_.end() &&
-           testBit(effectsOf(fn).writes, it->second);
+    int index = globalIndex(g);
+    return index >= 0 &&
+           testBit(effectsOf(fn).writes, static_cast<unsigned>(index));
 }
 
 bool

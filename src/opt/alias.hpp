@@ -19,8 +19,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "ir/ir.hpp"
 #include "support/small_vector.hpp"
@@ -61,7 +61,9 @@ enum class AliasResult {
 /** Alias relation between two pointer values. */
 AliasResult alias(const ir::Value *a, const ir::Value *b);
 
-/** Address-taken / escape facts for one module snapshot. */
+/** Address-taken / escape facts for one module snapshot. Objects are
+ * keyed by their dense value id (Module::valueIdBound()); objects
+ * created after the snapshot do not escape as far as it knows. */
 class EscapeInfo {
   public:
     explicit EscapeInfo(const ir::Module &module);
@@ -70,13 +72,18 @@ class EscapeInfo {
      * derived SSA chains (so arbitrary loads/stores may touch it). */
     bool escapes(const ir::Value *object) const
     {
-        return escaped_.count(object) != 0;
+        return object->id() < escaped_.size() && escaped_[object->id()];
     }
 
   private:
     void markEscaping(const ir::Value *root);
 
-    std::unordered_set<const ir::Value *> escaped_;
+    std::vector<unsigned char> escaped_;
+    // markEscaping scratch, shared by every root: visited[id] == stamp
+    // marks a value seen by the current root's walk.
+    std::vector<uint32_t> visited_;
+    uint32_t stamp_ = 0;
+    std::vector<const ir::Value *> worklist_;
 };
 
 /** Transitive memory effects of each function on global objects. */
@@ -103,13 +110,22 @@ class MemorySummary {
         bool writesUnknown = false;
     };
 
+    /** Position of @p fn in the module's function list. */
+    unsigned fnIndex(const ir::Function *fn) const;
     const Effects &effectsOf(const ir::Function *fn) const
     {
-        return effects_[fnIndex_.at(fn)];
+        return effects_[fnIndex(fn)];
+    }
+    /** Bit index of @p g, or -1 for a global the snapshot lacks. */
+    int globalIndex(const ir::GlobalVar *g) const
+    {
+        return g->id() < globalIndex_.size() ? globalIndex_[g->id()] : -1;
     }
 
-    std::unordered_map<const ir::Function *, unsigned> fnIndex_;
-    std::unordered_map<const ir::GlobalVar *, unsigned> globalIndex_;
+    /** (function, position) sorted by address, for fnIndex. */
+    std::vector<std::pair<const ir::Function *, unsigned>> fnIndex_;
+    /** Global bit index by value id, -1 for non-globals. */
+    std::vector<int> globalIndex_;
     std::vector<Effects> effects_;
 };
 

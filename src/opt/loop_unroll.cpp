@@ -228,7 +228,8 @@ class LoopUnroll : public Pass {
     {
         std::vector<BasicBlock *> region(loop.blocks.begin(),
                                          loop.blocks.end());
-        std::vector<Instr *> header_phis = info.header->phis();
+        BasicBlock::PhiRange phi_view = info.header->phis();
+        std::vector<Instr *> header_phis(phi_view.begin(), phi_view.end());
 
         // Current value of each header phi entering the next iteration.
         std::unordered_map<Instr *, Value *> current;

@@ -173,7 +173,10 @@ class SimplifyCfg : public Pass {
     {
         bool changed = false;
         for (const auto &block : fn.blocks()) {
-            for (Instr *phi : block->phis()) {
+            // Index walk: erasing a phi shifts the ones after it.
+            for (size_t p = 0; p < block->size() &&
+                               block->instrs()[p]->opcode() == Opcode::Phi;) {
+                Instr *phi = block->instrs()[p].get();
                 // Single distinct incoming value (or self-references
                 // plus one value) collapses to that value.
                 Value *unique_value = nullptr;
@@ -192,6 +195,8 @@ class SimplifyCfg : public Pass {
                     phi->replaceAllUsesWith(unique_value);
                     block->erase(phi);
                     changed = true;
+                } else {
+                    ++p;
                 }
             }
         }
@@ -206,12 +211,14 @@ class SimplifyCfg : public Pass {
         // changes any surviving block's count (A inherits B's edges
         // one-for-one) nor invalidates indexes, because emptied blocks
         // are erased only after the sweep.
-        std::vector<unsigned> pred_count(fn.numBlocks(), 0);
+        std::vector<unsigned> &pred_count = predCount_;
+        pred_count.assign(fn.numBlocks(), 0);
         for (const auto &owned : fn.blocks()) {
             for (BasicBlock *succ : owned->successors())
                 ++pred_count[succ->indexInFn()];
         }
-        std::vector<BasicBlock *> emptied;
+        std::vector<BasicBlock *> &emptied = doomed_;
+        emptied.clear();
         for (const auto &owned : fn.blocks()) {
             BasicBlock *pred = owned.get();
             // Chain-walk: after one merge, pred's new terminator may
@@ -227,7 +234,8 @@ class SimplifyCfg : public Pass {
                     break;
                 // Phis in a single-pred block are trivial; collapse
                 // first.
-                for (Instr *phi : block->phis()) {
+                while (block->front()->opcode() == Opcode::Phi) {
+                    Instr *phi = block->front();
                     phi->replaceAllUsesWith(phi->operand(0));
                     block->erase(phi);
                 }
@@ -260,12 +268,17 @@ class SimplifyCfg : public Pass {
         // stable. Candidates this sweep passes over (e.g. a conflict
         // that a later redirect resolves) are picked up by the
         // caller's fixpoint loop.
-        std::vector<std::vector<BasicBlock *>> preds(fn.numBlocks());
+        std::vector<BlockList> &preds = preds_;
+        if (preds.size() < fn.numBlocks())
+            preds.resize(fn.numBlocks());
+        for (size_t b = 0; b < fn.numBlocks(); ++b)
+            preds[b].clear();
         for (const auto &owned : fn.blocks()) {
             for (BasicBlock *succ : owned->successors())
                 preds[succ->indexInFn()].push_back(owned.get());
         }
-        std::vector<BasicBlock *> skipped;
+        std::vector<BasicBlock *> &skipped = doomed_;
+        skipped.clear();
         for (const auto &owned : fn.blocks()) {
             BasicBlock *block = owned.get();
             if (block == fn.entry())
@@ -278,8 +291,7 @@ class SimplifyCfg : public Pass {
             BasicBlock *target = term->blockOperands()[0];
             if (target == block)
                 continue;
-            std::vector<BasicBlock *> &block_preds =
-                preds[block->indexInFn()];
+            BlockList &block_preds = preds[block->indexInFn()];
             if (block_preds.empty())
                 continue;
             // Ambiguity guard: if the target has phis and some pred
@@ -311,8 +323,7 @@ class SimplifyCfg : public Pass {
             // Maintain the lists: target loses the edge from `block`
             // and gains every redirected edge; nothing reaches
             // `block` any more.
-            std::vector<BasicBlock *> &target_preds =
-                preds[target->indexInFn()];
+            BlockList &target_preds = preds[target->indexInFn()];
             for (size_t i = 0; i < target_preds.size(); ++i) {
                 if (target_preds[i] == block) {
                     target_preds.erase(target_preds.begin() +
@@ -320,9 +331,8 @@ class SimplifyCfg : public Pass {
                     break;
                 }
             }
-            target_preds.insert(target_preds.end(),
-                                block_preds.begin(),
-                                block_preds.end());
+            for (BasicBlock *pred : block_preds)
+                target_preds.push_back(pred);
             block_preds.clear();
             skipped.push_back(block);
         }
@@ -331,7 +341,14 @@ class SimplifyCfg : public Pass {
         return !skipped.empty();
     }
 
+    using BlockList = support::SmallVector<BasicBlock *, 4>;
+
     PassContext *ctx_ = nullptr;
+    // Per-sweep scratch, reused across sweeps and functions: each
+    // sweep resets what it uses on entry.
+    std::vector<unsigned> predCount_;
+    std::vector<BlockList> preds_;
+    std::vector<BasicBlock *> doomed_;
 };
 
 } // namespace

@@ -109,7 +109,8 @@ tableRow(const std::string &line, const char *tag)
 
 std::optional<CampaignReportData>
 collectReportData(corpus::CorpusStore &store,
-                  corpus::StoreError *error, const EventLog *log)
+                  corpus::StoreError *error, DossierSnapshot *dossiers,
+                  const EventLog *log)
 {
     std::optional<corpus::CheckpointState> state =
         corpus::readCheckpointState(store, error);
@@ -153,8 +154,8 @@ collectReportData(corpus::CorpusStore &store,
             data.campaign.programs[stored.slot] = stored.record;
     }
     data.campaign.metrics.seedsDone = data.storedRecords;
-    data.dossiers =
-        makeDossierSnapshot(std::move(records), &plan, log);
+    if (dossiers)
+        *dossiers = makeDossierSnapshot(std::move(records), &plan, log);
 
     // Fingerprint the checkpointed findings — the key that links the
     // findings index, the dossiers, and the verdict cache.
@@ -316,7 +317,9 @@ renderCampaignReportMarkdown(const CampaignReportData &data)
         out += "| equivalent variants | " +
                std::to_string(eq.variants) + " |\n";
         out += "| rejected variants | " +
-               std::to_string(eq.rejected()) + " |\n\n";
+               std::to_string(eq.rejectedVariants()) + " |\n";
+        out += "| skipped records | " +
+               std::to_string(eq.skippedRecords()) + " |\n\n";
         if (!eq.rejects.empty()) {
             out += "| reject reason | count |\n|---|---|\n";
             for (const auto &[reason, count] : eq.rejects)
@@ -460,8 +463,10 @@ writeCampaignReport(corpus::CorpusStore &store,
                     const CampaignReportOptions &options,
                     corpus::StoreError *error)
 {
-    std::optional<CampaignReportData> data =
-        collectReportData(store, error, options.log);
+    DossierSnapshot dossiers;
+    std::optional<CampaignReportData> data = collectReportData(
+        store, error, options.dossiers ? &dossiers : nullptr,
+        options.log);
     if (!data)
         return false;
     if (options.latencyMetrics)
@@ -493,7 +498,7 @@ writeCampaignReport(corpus::CorpusStore &store,
             if (fingerprint.empty())
                 continue;
             std::optional<Dossier> dossier =
-                buildDossier(data->dossiers, store, fingerprint, error);
+                buildDossier(dossiers, store, fingerprint, error);
             if (!dossier)
                 return false;
             std::string name = "finding-" + std::to_string(i);

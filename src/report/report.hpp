@@ -63,10 +63,6 @@ struct CampaignReportData {
     uint64_t validRecords = 0;
     uint64_t totalChunks = 0;
     bool complete = false; ///< every chunk committed
-    /** The same record load, indexed for the per-finding dossiers —
-     * every stored record, committed or not, as buildDossier sees
-     * the store. Not rendered into the report body. */
-    DossierSnapshot dossiers;
     /** The store's metamorphic analysis (equiv.json), when one was
      * run — renders as the "Metamorphic testing" section. */
     std::optional<equiv::EquivSummary> equiv;
@@ -93,14 +89,17 @@ collectStageLatency(const support::MetricsRegistry &registry);
 /**
  * Assemble the report's inputs from @p store: parse the checkpoint
  * (NoCheckpoint when the store never ran a checkpointed campaign),
- * load the records once — into a positionally-faithful core::Campaign
- * and into the dossier snapshot — and fingerprint every checkpointed
- * finding. @p log (may be null) only feeds the dossiers' reduction
- * trajectories.
+ * load the records once into a positionally-faithful core::Campaign,
+ * and fingerprint every checkpointed finding. When @p dossiers is
+ * set, the same record load is also indexed into it — every stored
+ * record, committed or not, as buildDossier sees the store — with
+ * @p log (may be null) feeding the reduction trajectories; the report
+ * body never reads it.
  */
 std::optional<CampaignReportData>
 collectReportData(corpus::CorpusStore &store,
                   corpus::StoreError *error = nullptr,
+                  DossierSnapshot *dossiers = nullptr,
                   const EventLog *log = nullptr);
 
 /** Render the Markdown report body (pure; no I/O, no clock). */

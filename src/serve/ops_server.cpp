@@ -405,9 +405,16 @@ OpsServer::dossierEndpoint(const HttpRequest &request) const
         return HttpResponse::text(
             400, "bad request: format must be json or md\n");
 
+    // A malformed fingerprint fails before the store is read.
+    if (!report::parseFingerprint(fingerprint))
+        return HttpResponse::text(404, "no finding with that fingerprint\n");
     corpus::StoreError error;
+    std::shared_ptr<const report::DossierSnapshot> snapshot =
+        dossierSnapshot(&error);
+    if (!snapshot)
+        return storeFailure(error);
     std::optional<report::Dossier> dossier = report::buildDossier(
-        *options_.store, options_.events, fingerprint, &error);
+        *snapshot, *options_.store, fingerprint, &error);
     if (!dossier) {
         if (error.status == corpus::StoreStatus::NotFound)
             return HttpResponse::text(
@@ -423,6 +430,36 @@ OpsServer::dossierEndpoint(const HttpRequest &request) const
         response.body = report::dossierJson(*dossier);
     }
     return response;
+}
+
+std::shared_ptr<const report::DossierSnapshot>
+OpsServer::dossierSnapshot(corpus::StoreError *error) const
+{
+    // The checkpoint line names the committed state; reading it is one
+    // small file read, against a full record load for a snapshot.
+    std::string checkpoint;
+    if (options_.store->hasCheckpoint()) {
+        std::optional<std::string> line =
+            options_.store->readCheckpoint(error);
+        if (!line)
+            return nullptr;
+        checkpoint = std::move(*line);
+    }
+    size_t events = options_.events ? options_.events->size() : 0;
+    std::lock_guard<std::mutex> lock(dossierMutex_);
+    if (!dossiers_ || checkpoint != dossiersCheckpoint_ ||
+        events != dossiersEvents_) {
+        std::optional<report::DossierSnapshot> fresh =
+            report::loadDossierSnapshot(*options_.store, options_.events,
+                                        error);
+        if (!fresh)
+            return nullptr;
+        dossiers_ = std::make_shared<const report::DossierSnapshot>(
+            std::move(*fresh));
+        dossiersCheckpoint_ = std::move(checkpoint);
+        dossiersEvents_ = events;
+    }
+    return dossiers_;
 }
 
 HttpResponse

@@ -38,12 +38,14 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
 #include "report/anomaly.hpp"
+#include "report/dossier.hpp"
 #include "report/event_log.hpp"
 #include "report/watchdog.hpp"
 #include "serve/http.hpp"
@@ -151,8 +153,19 @@ class OpsServer {
     HttpResponse timeseriesEndpoint(const HttpRequest &request) const;
     HttpResponse quitEndpoint();
 
+    /** /dossier/<fp>'s snapshot: one full record load per committed
+     * checkpoint (and event-log length, which feeds the reduction
+     * trajectories), shared by every request in between. */
+    std::shared_ptr<const report::DossierSnapshot>
+    dossierSnapshot(corpus::StoreError *error) const;
+
     OpsServerOptions options_;
     HttpServer http_;
+
+    mutable std::mutex dossierMutex_;
+    mutable std::shared_ptr<const report::DossierSnapshot> dossiers_;
+    mutable std::string dossiersCheckpoint_; ///< its checkpoint line
+    mutable size_t dossiersEvents_ = 0;      ///< its event-log length
 
     mutable std::mutex shutdownMutex_;
     std::condition_variable shutdownCv_;

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -566,6 +567,82 @@ TEST(EquivReport, CampaignReportRendersMetamorphicSection)
     EXPECT_NE(with.find("## Metamorphic testing"), std::string::npos);
     EXPECT_NE(with.find("programs analysed"), std::string::npos);
     EXPECT_NE(with.find("variants per program"), std::string::npos);
+}
+
+TEST(EquivReport, SkippedRecordsAreCountedApartFromRejectedVariants)
+{
+    // Seed 892's program runs past the interpreter's step budget, so
+    // the analysis skips its record whole (base-invalid): one record,
+    // not K rejected variants. The report, the text summary and the
+    // equiv_finished event must count the two units apart.
+    TempDir dir("skipped");
+    TempDir report_dir("skippedout");
+    corpus::StoreError error;
+    auto store = corpus::CorpusStore::open(dir.str(), &error);
+    ASSERT_TRUE(store) << error.message;
+    corpus::CampaignPlan plan;
+    plan.firstSeed = 890;
+    plan.count = 4;
+    plan.chunkSize = 2;
+    plan.builds = {{CompilerId::Alpha, OptLevel::O3, SIZE_MAX},
+                   {CompilerId::Beta, OptLevel::O3, SIZE_MAX}};
+    plan.missedByBuild = 0;
+    plan.referenceBuild = 1;
+    {
+        auto result = corpus::runCheckpointed(*store, plan, {}, &error);
+        ASSERT_TRUE(result) << error.message;
+        ASSERT_TRUE(result->completed);
+    }
+
+    EquivOptions options = smallEquivOptions();
+    report::EventLog events;
+    options.events = &events;
+    std::optional<EquivSummary> summary = runEquivAnalysis(*store, options);
+    ASSERT_TRUE(summary);
+    ASSERT_EQ(summary->rejects.count("base-invalid"), 1u);
+    EXPECT_EQ(summary->rejects.at("base-invalid"), 1u);
+    EXPECT_EQ(summary->skippedRecords(), 1u);
+    EXPECT_EQ(summary->programs, 3u);
+    EXPECT_EQ(summary->variants + summary->rejectedVariants(),
+              summary->programs * options.variantsPerProgram);
+    EXPECT_EQ(summary->rejected(),
+              summary->rejectedVariants() + summary->skippedRecords());
+
+    const std::string text = equivSummaryText(*summary);
+    EXPECT_NE(text.find(std::to_string(summary->rejectedVariants()) +
+                        " rejected\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("records skipped: 1\n"), std::string::npos)
+        << text;
+
+    std::string finished;
+    std::istringstream jsonl(events.toJsonl());
+    for (std::string line; std::getline(jsonl, line);) {
+        if (line.find("\"equiv_finished\"") != std::string::npos)
+            finished = line;
+    }
+    EXPECT_NE(finished.find("\"rejects\":" +
+                            std::to_string(summary->rejectedVariants())),
+              std::string::npos)
+        << finished;
+    EXPECT_NE(finished.find("\"skipped\":1"), std::string::npos)
+        << finished;
+
+    ASSERT_TRUE(store->writeEquivState(serializeEquivSummary(*summary),
+                                       &error))
+        << error.message;
+    report::CampaignReportOptions report_options;
+    report_options.dossiers = false;
+    ASSERT_TRUE(report::writeCampaignReport(*store, report_dir.str(),
+                                            report_options, &error))
+        << error.message;
+    std::string report = readFile(report_dir.str() + "/report.md");
+    EXPECT_NE(report.find("| rejected variants | " +
+                          std::to_string(summary->rejectedVariants()) +
+                          " |\n| skipped records | 1 |\n"),
+              std::string::npos)
+        << report;
 }
 
 TEST(EquivServe, EquivEndpointServesSealedStateOr404)

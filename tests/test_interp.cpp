@@ -2,8 +2,15 @@
  * traces, limits, and the paper's example programs. */
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "helpers.hpp"
 
+#include "ir/builder.hpp"
 #include "ir/lowering.hpp"
 #include "lang/parser.hpp"
 
@@ -376,6 +383,189 @@ TEST(Interp, PaperListing8bComputesCorrectly)
     )");
     ASSERT_EQ(result.status, ExecStatus::Ok);
     EXPECT_TRUE(result.callTrace.empty()) << "dead() must not execute";
+}
+
+/**
+ * A hand-built module that reaches every interpreter path the lowering
+ * of MiniC source rarely or never produces: a select feeding a switch
+ * (cases listed out of order), a loop whose phis swap two values (they
+ * must evaluate simultaneously), a phi after a non-phi instruction,
+ * out-of-bounds loads and stores, an internal global, recursion, and
+ * an unreachable block. Functions in layout order: DCEMarker0,
+ * DCEMarker1 (declarations), fact (entry, base, rec), main (entry, c7,
+ * c9, default, loop, exit, never).
+ */
+std::unique_ptr<ir::Module>
+buildCoverageModule()
+{
+    using namespace ir;
+    auto module = std::make_unique<Module>();
+    Module &m = *module;
+    Function *marker0 = m.addFunction("DCEMarker0", IrType::voidTy(), false);
+    Function *marker1 = m.addFunction("DCEMarker1", IrType::voidTy(), false);
+    GlobalVar *g = m.addGlobal("g", IrType::i32(), 1, false);
+    GlobalVar *arr = m.addGlobal("arr", IrType::i32(), 4, false);
+    arr->setIsArray(true);
+    GlobalVar *hidden = m.addGlobal("hidden", IrType::i32(), 1, true);
+    IrBuilder b(m);
+
+    // fact(n) = n <= 1 ? 1 : n * fact(n - 1)
+    Function *fact = m.addFunction("fact", IrType::i32(), false);
+    Param *n = fact->addParam(IrType::i32(), "n");
+    BasicBlock *f_entry = fact->addBlock("entry");
+    BasicBlock *f_base = fact->addBlock("base");
+    BasicBlock *f_rec = fact->addBlock("rec");
+    b.setInsertionBlock(f_entry);
+    b.condBr(b.cmp(CmpPred::Sle, n, m.i32Const(1)), f_base, f_rec);
+    b.setInsertionBlock(f_base);
+    b.ret(m.i32Const(1));
+    b.setInsertionBlock(f_rec);
+    Value *sub = b.bin(BinOp::Sub, n, m.i32Const(1));
+    b.ret(b.bin(BinOp::Mul, n, b.call(fact, {sub})));
+
+    Function *main_fn = m.addFunction("main", IrType::i32(), false);
+    BasicBlock *entry = main_fn->addBlock("entry");
+    BasicBlock *c7 = main_fn->addBlock("c7");
+    BasicBlock *c9 = main_fn->addBlock("c9");
+    BasicBlock *dflt = main_fn->addBlock("default");
+    BasicBlock *loop = main_fn->addBlock("loop");
+    BasicBlock *exit = main_fn->addBlock("exit");
+    BasicBlock *never = main_fn->addBlock("never");
+
+    b.setInsertionBlock(entry);
+    Value *x = b.select(b.cmp(CmpPred::Eq, m.i32Const(1), m.i32Const(1)),
+                        m.i32Const(7), m.i32Const(9));
+    Instr *sw = b.switch_(x, dflt);
+    sw->caseValues = {9, 7};
+    sw->addBlockOperand(c9);
+    sw->addBlockOperand(c7);
+    for (BasicBlock *arm : {c7, c9, dflt}) {
+        b.setInsertionBlock(arm);
+        if (arm == c7)
+            b.call(marker0, {});
+        if (arm == c9)
+            b.call(marker1, {});
+        b.br(loop);
+    }
+
+    // Three rounds of a swap: a and b exchange values simultaneously.
+    b.setInsertionBlock(loop);
+    Instr *i = b.phi(IrType::i32());
+    Instr *a = b.phi(IrType::i32());
+    Instr *bb = b.phi(IrType::i32());
+    Value *next_i = b.bin(BinOp::Add, i, m.i32Const(1));
+    // A phi after a non-phi instruction is not a block-entry phi: it
+    // is never evaluated and costs no step.
+    auto stray = m.newInstr(Opcode::Phi, IrType::i32());
+    stray->setId(m.nextValueId());
+    Instr *stray_phi = loop->insertBefore(loop->size(), std::move(stray));
+    b.condBr(b.cmp(CmpPred::Slt, next_i, m.i32Const(3)), loop, exit);
+    for (BasicBlock *pred : {c7, c9, dflt}) {
+        i->addIncoming(m.i32Const(0), pred);
+        a->addIncoming(m.i32Const(10), pred);
+        bb->addIncoming(m.i32Const(20), pred);
+        stray_phi->addIncoming(m.i32Const(99), pred);
+    }
+    i->addIncoming(next_i, loop);
+    a->addIncoming(bb, loop);
+    bb->addIncoming(a, loop);
+    stray_phi->addIncoming(m.i32Const(99), loop);
+
+    b.setInsertionBlock(exit);
+    b.store(a, g);
+    b.store(m.i32Const(5), hidden);
+    b.store(m.i32Const(1), b.gep(arr, m.i32Const(10), 4)); // OOB: dropped
+    Value *oob = b.load(IrType::i32(), b.gep(arr, m.i32Const(-1), 4));
+    Value *f5 = b.call(fact, {m.i32Const(5)});
+    b.store(b.bin(BinOp::Add, oob, f5), b.gep(arr, m.i32Const(2), 4));
+    b.call(marker0, {});
+    b.ret(bb);
+
+    b.setInsertionBlock(never);
+    b.unreachable();
+    return module;
+}
+
+/** Flags for fact's and main's blocks, in layout order. */
+std::vector<unsigned char>
+blockFlags(std::initializer_list<int> flags)
+{
+    return std::vector<unsigned char>(flags.begin(), flags.end());
+}
+
+TEST(Interp, DecodedMachineCoversEveryControlPath)
+{
+    auto module = buildCoverageModule();
+    ExecLimits limits;
+    limits.recordBlocks = true;
+    ExecResult result = execute(*module, "main", limits);
+    ASSERT_EQ(result.status, ExecStatus::Ok);
+    // Three swaps from (a, b) = (10, 20) end at (10, 20): the phis read
+    // each other's values from before the edge, not after.
+    EXPECT_EQ(result.exitValue, 20);
+    EXPECT_EQ(result.steps, 53u);
+    EXPECT_EQ(result.callTrace,
+              (std::vector<std::string>{"DCEMarker0", "DCEMarker0"}));
+    EXPECT_EQ(result.calledExternals, std::set<std::string>{"DCEMarker0"});
+    // The OOB store was dropped and the OOB load read 0: arr[2] holds
+    // just fact(5). The internal global is not observable.
+    ASSERT_EQ(result.finalGlobals.size(), 2u);
+    EXPECT_EQ(result.finalGlobals.at("g"),
+              std::vector<IValue>{IValue::intValue(10)});
+    EXPECT_EQ(result.finalGlobals.at("arr"),
+              (std::vector<IValue>{IValue::intValue(0), IValue::intValue(0),
+                                   IValue::intValue(120),
+                                   IValue::intValue(0)}));
+    EXPECT_EQ(result.executedBlocks,
+              blockFlags({1, 1, 1, 1, 1, 0, 0, 1, 1, 0}));
+
+    // Without recordBlocks there is no block record; nothing else
+    // changes.
+    ExecResult plain = execute(*module);
+    EXPECT_TRUE(plain.executedBlocks.empty());
+    EXPECT_TRUE(observablyEqual(plain, result));
+    EXPECT_EQ(plain.steps, result.steps);
+}
+
+TEST(Interp, DecodedMachineStopsAtTheLimits)
+{
+    auto module = buildCoverageModule();
+    ExecLimits limits;
+    limits.recordBlocks = true;
+
+    // Step 26 is fact(4)'s first instruction: the run stops there with
+    // the state up to step 25 — g stored, arr[2] not yet.
+    limits.maxSteps = 25;
+    ExecResult timeout = execute(*module, "main", limits);
+    EXPECT_EQ(timeout.status, ExecStatus::Timeout);
+    EXPECT_EQ(timeout.steps, 26u);
+    EXPECT_EQ(timeout.callTrace, std::vector<std::string>{"DCEMarker0"});
+    EXPECT_EQ(timeout.finalGlobals.at("g")[0].i, 10);
+    EXPECT_EQ(timeout.finalGlobals.at("arr")[2].i, 0);
+    EXPECT_EQ(timeout.executedBlocks,
+              blockFlags({1, 0, 1, 1, 1, 0, 0, 1, 1, 0}));
+
+    // main -> fact(5) -> fact(4) -> fact(3) exceeds a depth of 3.
+    limits.maxSteps = ExecLimits{}.maxSteps;
+    limits.maxCallDepth = 3;
+    ExecResult deep = execute(*module, "main", limits);
+    EXPECT_EQ(deep.status, ExecStatus::Trap);
+    EXPECT_EQ(deep.steps, 29u);
+    EXPECT_EQ(deep.executedBlocks,
+              blockFlags({1, 0, 1, 1, 1, 0, 0, 1, 1, 0}));
+
+    // Executing an unreachable terminator traps on its step.
+    ir::Function *boom =
+        module->addFunction("boom", ir::IrType::i32(), false);
+    ir::IrBuilder builder(*module);
+    builder.setInsertionBlock(boom->addBlock("entry"));
+    builder.unreachable();
+    ExecResult trapped = execute(*module, "boom");
+    EXPECT_EQ(trapped.status, ExecStatus::Trap);
+    EXPECT_EQ(trapped.steps, 1u);
+
+    EXPECT_EQ(execute(*module, "missing").status, ExecStatus::NoEntry);
+    EXPECT_EQ(execute(*module, "DCEMarker0").status, ExecStatus::NoEntry);
 }
 
 TEST(Interp, ObservablyEqualComparesTraces)

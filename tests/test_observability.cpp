@@ -481,6 +481,43 @@ TEST(Trace, DisabledSpanDoesNoWork)
 }
 
 //===------------------------------------------------------------------===//
+// Per-seed allocation budget
+//===------------------------------------------------------------------===//
+
+TEST(Allocation, SeedPipelineStaysWithinItsHeapBudget)
+{
+    // The campaign workload's per-seed path: all ten head builds with
+    // primary analysis. Before the allocation-light pipeline these
+    // seeds made 54.7k operator-new calls per seed (about 17.8k
+    // after); the budget sits below 55% of the old count, so a return
+    // to per-call containers in the IR helpers, analyses, clone or
+    // interpreter trips it.
+    std::vector<core::BuildSpec> builds;
+    for (CompilerId id : {CompilerId::Alpha, CompilerId::Beta}) {
+        for (OptLevel level : compiler::allOptLevels())
+            builds.push_back({id, level, SIZE_MAX});
+    }
+    support::MetricsRegistry registry;
+    core::CampaignOptions options;
+    options.computePrimary = true;
+    options.metrics = &registry;
+    core::SeedProcessor processor(builds, options, registry);
+
+    constexpr uint64_t kFirstSeed = 1;
+    constexpr unsigned kSeeds = 20;
+    core::SeedCounters counters;
+    unsigned valid = 0;
+    uint64_t before = g_heap_allocations.load();
+    for (unsigned i = 0; i < kSeeds; ++i)
+        valid += processor.process(kFirstSeed + i, counters).valid;
+    uint64_t per_seed = (g_heap_allocations.load() - before) / kSeeds;
+    constexpr uint64_t kBudget = 30000;
+    EXPECT_LE(per_seed, kBudget)
+        << "operator new calls per seed: " << per_seed;
+    EXPECT_GE(valid, kSeeds / 2);
+}
+
+//===------------------------------------------------------------------===//
 // Metrics registry
 //===------------------------------------------------------------------===//
 

@@ -793,11 +793,12 @@ TEST(ReportDossiers, KilledStoreDossiersSeeRecordsPastCheckpoint)
     {
         auto store = corpus::CorpusStore::open(store_dir.str(), &error);
         ASSERT_TRUE(store) << error.message;
+        DossierSnapshot dossiers;
         std::optional<CampaignReportData> data =
-            collectReportData(*store, &error);
+            collectReportData(*store, &error, &dossiers);
         ASSERT_TRUE(data) << error.message;
         ASSERT_FALSE(data->complete);
-        EXPECT_GT(data->dossiers.records.size(), data->storedRecords);
+        EXPECT_GT(dossiers.records.size(), data->storedRecords);
     }
     EXPECT_GT(expectReportDossiersMatchStandalone(store_dir.str()), 0u);
 }

@@ -545,6 +545,50 @@ TEST(ServeOps, ReportEndpointMatchesOnDiskReport)
     EXPECT_EQ(html.body, readFile(out.str() + "/report.html"));
 }
 
+TEST(ServeOps, DossierRequestsShareOneRecordLoadPerCheckpoint)
+{
+    TempDir dir("dossierload");
+    ServedCampaign served(dir.str());
+    ASSERT_GT(served.findings, 0u);
+    HttpResponse index = served.get("/dossiers");
+    ASSERT_EQ(index.status, 200);
+    std::optional<corpus::JsonValue> parsed =
+        corpus::JsonValue::parse(index.body);
+    ASSERT_TRUE(parsed);
+    std::string fingerprint =
+        parsed->get("dossiers")->items[0].getString("fingerprint");
+    const std::string path = "/dossier/" + fingerprint;
+    auto loaded = [&] {
+        return served.registry.counterValue("corpus.records_loaded");
+    };
+    const uint64_t records = served.store->stats().records;
+
+    // The first dossier request loads the store once...
+    uint64_t before = loaded();
+    HttpResponse first = served.get(path, "format=json");
+    ASSERT_EQ(first.status, 200);
+    EXPECT_EQ(loaded(), before + records);
+
+    // ...and every later one, in either format and with other
+    // endpoints in between, reuses that snapshot while no checkpoint
+    // lands and the event log stands still.
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(served.get(path, "format=json").body, first.body);
+        EXPECT_EQ(served.get(path, "format=md").status, 200);
+        EXPECT_EQ(served.get("/report").status, 200);
+    }
+    uint64_t reports = 3 * records; // /report loads for its own render
+    EXPECT_EQ(loaded(), before + records + reports);
+
+    // A grown event log can carry new reduction trajectories: the next
+    // request rebuilds the snapshot, once.
+    served.log.emit(support::Event("test_marker",
+                                   {support::kPhaseOps, 0, 0}));
+    EXPECT_EQ(served.get(path, "format=json").body, first.body);
+    EXPECT_EQ(served.get(path, "format=json").body, first.body);
+    EXPECT_EQ(loaded(), before + 2 * records + reports);
+}
+
 TEST(ServeOps, DossierAndEventsEndpoints)
 {
     TempDir dir("dossier");
