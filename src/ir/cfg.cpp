@@ -42,18 +42,11 @@ markReachable(const Function &fn, std::vector<unsigned char> &reachable)
 
 } // namespace
 
-std::vector<unsigned char>
-reachableBlockFlags(const Function &fn)
-{
-    std::vector<unsigned char> reachable;
-    markReachable(fn, reachable);
-    return reachable;
-}
-
 std::unordered_set<const BasicBlock *>
 reachableBlocks(const Function &fn)
 {
-    std::vector<unsigned char> flags = reachableBlockFlags(fn);
+    std::vector<unsigned char> flags;
+    markReachable(fn, flags);
     std::unordered_set<const BasicBlock *> reachable;
     for (const auto &block : fn.blocks()) {
         if (flags[block->indexInFn()])

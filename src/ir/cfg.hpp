@@ -54,9 +54,6 @@ predecessorMap(const Function &fn)
 /** Blocks reachable from entry. */
 std::unordered_set<const BasicBlock *> reachableBlocks(const Function &fn);
 
-/** Per-block reachable-from-entry flags, indexed by indexInFn(). */
-std::vector<unsigned char> reachableBlockFlags(const Function &fn);
-
 /** Reverse postorder over reachable blocks, starting at entry. */
 std::vector<BasicBlock *> reversePostorder(const Function &fn);
 
