@@ -435,20 +435,26 @@ OpsServer::dossierEndpoint(const HttpRequest &request) const
 std::shared_ptr<const report::DossierSnapshot>
 OpsServer::dossierSnapshot(corpus::StoreError *error) const
 {
-    // The checkpoint line names the committed state; reading it is one
-    // small file read, against a full record load for a snapshot.
-    std::string checkpoint;
+    // Everything a snapshot reads, as cheap stamps: the checkpoint line
+    // (one small file read), the store's in-memory record index, and
+    // the event log's length. A full record load happens only when one
+    // of them moved.
+    DossierStamp stamp;
     if (options_.store->hasCheckpoint()) {
         std::optional<std::string> line =
             options_.store->readCheckpoint(error);
         if (!line)
             return nullptr;
-        checkpoint = std::move(*line);
+        stamp.checkpoint = std::move(*line);
     }
-    size_t events = options_.events ? options_.events->size() : 0;
+    corpus::StoreStats stats = options_.store->stats();
+    stamp.records = stats.records;
+    stamp.bytes = stats.bytes;
+    stamp.generation = stats.generation;
+    stamp.events = options_.events ? options_.events->size() : 0;
+
     std::lock_guard<std::mutex> lock(dossierMutex_);
-    if (!dossiers_ || checkpoint != dossiersCheckpoint_ ||
-        events != dossiersEvents_) {
+    if (!dossiers_ || !(stamp == dossiersStamp_)) {
         std::optional<report::DossierSnapshot> fresh =
             report::loadDossierSnapshot(*options_.store, options_.events,
                                         error);
@@ -456,8 +462,7 @@ OpsServer::dossierSnapshot(corpus::StoreError *error) const
             return nullptr;
         dossiers_ = std::make_shared<const report::DossierSnapshot>(
             std::move(*fresh));
-        dossiersCheckpoint_ = std::move(checkpoint);
-        dossiersEvents_ = events;
+        dossiersStamp_ = std::move(stamp);
     }
     return dossiers_;
 }

@@ -153,19 +153,29 @@ class OpsServer {
     HttpResponse timeseriesEndpoint(const HttpRequest &request) const;
     HttpResponse quitEndpoint();
 
-    /** /dossier/<fp>'s snapshot: one full record load per committed
-     * checkpoint (and event-log length, which feeds the reduction
-     * trajectories), shared by every request in between. */
+    /** /dossier/<fp>'s snapshot: one full record load per store state
+     * (checkpoint, stored records, event-log length), shared by every
+     * request until that state moves. */
     std::shared_ptr<const report::DossierSnapshot>
     dossierSnapshot(corpus::StoreError *error) const;
+
+    /** The store state a dossier snapshot was loaded from. */
+    struct DossierStamp {
+        std::string checkpoint; ///< checkpoint line, "" when none
+        uint64_t records = 0;   ///< StoreStats of the record index
+        uint64_t bytes = 0;
+        uint64_t generation = 0;
+        size_t events = 0;      ///< event-log length (trajectories)
+
+        bool operator==(const DossierStamp &) const = default;
+    };
 
     OpsServerOptions options_;
     HttpServer http_;
 
     mutable std::mutex dossierMutex_;
     mutable std::shared_ptr<const report::DossierSnapshot> dossiers_;
-    mutable std::string dossiersCheckpoint_; ///< its checkpoint line
-    mutable size_t dossiersEvents_ = 0;      ///< its event-log length
+    mutable DossierStamp dossiersStamp_;
 
     mutable std::mutex shutdownMutex_;
     std::condition_variable shutdownCv_;

@@ -571,7 +571,7 @@ TEST(ServeOps, DossierRequestsShareOneRecordLoadPerCheckpoint)
 
     // ...and every later one, in either format and with other
     // endpoints in between, reuses that snapshot while no checkpoint
-    // lands and the event log stands still.
+    // or record lands and the event log stands still.
     for (int i = 0; i < 3; ++i) {
         EXPECT_EQ(served.get(path, "format=json").body, first.body);
         EXPECT_EQ(served.get(path, "format=md").status, 200);
@@ -587,6 +587,15 @@ TEST(ServeOps, DossierRequestsShareOneRecordLoadPerCheckpoint)
     EXPECT_EQ(served.get(path, "format=json").body, first.body);
     EXPECT_EQ(served.get(path, "format=json").body, first.body);
     EXPECT_EQ(loaded(), before + 2 * records + reports);
+
+    // So does a record landing in the store.
+    core::ProgramRecord extra;
+    extra.seed = 7;
+    served.store->putProgram("00000000000000aa", "int main() { return 0; }\n");
+    served.store->putRecord(extra, 999, 999, "00000000000000aa");
+    EXPECT_EQ(served.get(path, "format=json").body, first.body);
+    EXPECT_EQ(served.get(path, "format=json").body, first.body);
+    EXPECT_EQ(loaded(), before + 3 * records + reports + 1);
 }
 
 TEST(ServeOps, DossierAndEventsEndpoints)
