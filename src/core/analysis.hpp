@@ -134,8 +134,11 @@ class PrimaryAnalysis {
      *        the layout counts as invalid. */
     PrimaryAnalysis(const ir::Module &lowered, const GroundTruth &truth);
 
-    /** Convenience for callers without ground truth at hand: runs the
-     * ground-truth execution itself. */
+    /** Runs the ground-truth execution itself, so the program executes
+     * a second time. Kept only for the workflow benchmark's traced
+     * pipeline (perfbench/pipeline.cpp), which already holds the
+     * truth; delete it in the change that makes that pipeline pass
+     * its truth, leaving the single-execution constructor above. */
     explicit PrimaryAnalysis(const ir::Module &lowered);
 
     /** Block-level ground truth executed cleanly; when false,

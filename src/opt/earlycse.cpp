@@ -18,6 +18,7 @@
  */
 #include <cstdint>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/cfg.hpp"
@@ -74,181 +75,83 @@ struct KeyHash {
 
 /**
  * Scoped hash table with tombstones (nullptr value shadows an outer
- * entry), the LLVM-ScopedHashTable shape laid out flat: an
- * open-addressing key table whose slots point at the innermost binding
- * of a binding stack (each binding links to the one it shadows), plus
- * one undo log of slots. popScope unwinds exactly the bindings its
- * scope made. Keys are never removed while scopes are open, so a key
- * whose bindings are all popped stays in the table as absent; clear()
- * empties it between functions. Steady state allocates nothing. The
- * outcome of every operation is identical to a stack of per-scope
- * maps; only the cost differs.
+ * entry): one hash map from key to a stack of per-scope bindings plus
+ * one undo log of the keys each scope bound, so lookup is a single
+ * probe and popScope unwinds exactly the bindings its scope made — the
+ * standard LLVM-ScopedHashTable shape. The map and the log live as
+ * long as the pass, so their buckets and capacity carry over between
+ * functions. The outcome of every operation is identical to a stack of
+ * per-scope maps; only the cost differs.
  */
 template <typename Key>
 class ScopedTable {
   public:
-    /** Drop every key. @pre no scope is open. */
-    void
-    clear()
-    {
-        slots_.assign(slots_.size(), Slot{});
-        used_ = 0;
-        bindings_.clear();
-        undo_.clear();
-        scopes_.clear();
-    }
-
     void pushScope() { scopes_.push_back(undo_.size()); }
 
     void
     popScope()
     {
-        // Every binding has one undo entry, pushed together, and inner
-        // scopes are already gone: this scope's bindings are the tail.
+        // Inner scopes are already gone: this scope's keys are the
+        // log's tail, each bound once.
         size_t mark = scopes_.back();
         scopes_.pop_back();
-        while (undo_.size() > mark) {
-            Slot &slot = slots_[undo_.back()];
-            slot.top = bindings_[slot.top].shadowed;
-            undo_.pop_back();
+        for (size_t i = mark; i < undo_.size(); ++i) {
+            auto it = table_.find(undo_[i]);
+            it->second.pop_back();
+            if (it->second.empty())
+                table_.erase(it);
         }
-        bindings_.resize(mark);
+        undo_.resize(mark);
     }
 
     void
     insert(const Key &key, Value *value)
     {
-        uint32_t scope = static_cast<uint32_t>(scopes_.size() - 1);
-        uint32_t index = findOrAdd(key);
-        Slot &slot = slots_[index];
-        if (slot.top != kNone && bindings_[slot.top].scope == scope) {
-            bindings_[slot.top].value = value;
+        unsigned scope = static_cast<unsigned>(scopes_.size() - 1);
+        auto &stack = table_[key];
+        if (!stack.empty() && stack.back().scope == scope) {
+            stack.back().value = value;
             return;
         }
-        bindings_.push_back({value, scope, slot.top});
-        slot.top = static_cast<uint32_t>(bindings_.size() - 1);
-        undo_.push_back(index);
+        stack.push_back({value, scope});
+        undo_.push_back(key);
     }
 
     /** Innermost entry, or nullptr when absent or tombstoned. */
     Value *
     lookup(const Key &key) const
     {
-        if (slots_.empty())
+        auto it = table_.find(key);
+        if (it == table_.end())
             return nullptr;
-        for (size_t i = hashOf(key);; i = (i + 1) & mask()) {
-            const Slot &slot = slots_[i];
-            if (!slot.occupied)
-                return nullptr;
-            if (slot.key == key) {
-                return slot.top == kNone ? nullptr
-                                         : bindings_[slot.top].value;
-            }
-        }
+        return it->second.back().value;
     }
 
     /** Invoke @p fn on every live (non-tombstoned) key, innermost
      * binding shadowing outer. Enumeration order is unspecified; every
      * caller applies an order-independent filter. The callback may
      * insert() for keys already present (tombstoning) — that never
-     * grows the key table, so iteration stays valid — but must not
-     * introduce new keys. */
+     * rehashes, so iteration stays valid — but must not introduce new
+     * keys. */
     template <typename Fn>
     void
     forEachLive(Fn fn)
     {
-        for (size_t i = 0; i < slots_.size(); ++i) {
-            const Slot &slot = slots_[i];
-            if (slot.occupied && slot.top != kNone &&
-                bindings_[slot.top].value)
-                fn(slot.key);
+        for (auto &[key, stack] : table_) {
+            if (stack.back().value)
+                fn(key);
         }
     }
 
   private:
-    static constexpr uint32_t kNone = UINT32_MAX;
-
     struct Binding {
         Value *value;
-        uint32_t scope;
-        uint32_t shadowed; ///< binding this one shadows, or kNone
+        unsigned scope;
     };
-    struct Slot {
-        Key key{};
-        uint32_t top = kNone; ///< innermost binding, or kNone
-        bool occupied = false;
-    };
-
-    size_t mask() const { return slots_.size() - 1; }
-
-    /** Home slot of @p key. KeyHash leaves pointer alignment in the
-     * low bits, so fold the high bits in before masking. */
-    size_t
-    hashOf(const Key &key) const
-    {
-        uint64_t h = KeyHash()(key);
-        h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-        return static_cast<size_t>(h) & mask();
-    }
-
-    /** Slot index of @p key, adding it (and growing at half load —
-     * only when the key is new, so forEachLive callbacks that
-     * re-insert present keys never move the table). */
-    uint32_t
-    findOrAdd(const Key &key)
-    {
-        if (!slots_.empty()) {
-            size_t i = hashOf(key);
-            for (; slots_[i].occupied; i = (i + 1) & mask()) {
-                if (slots_[i].key == key)
-                    return static_cast<uint32_t>(i);
-            }
-            if (2 * (used_ + 1) <= slots_.size())
-                return claim(i, key);
-        }
-        grow();
-        size_t i = hashOf(key);
-        while (slots_[i].occupied)
-            i = (i + 1) & mask();
-        return claim(i, key);
-    }
-
-    uint32_t
-    claim(size_t index, const Key &key)
-    {
-        slots_[index].occupied = true;
-        slots_[index].key = key;
-        ++used_;
-        return static_cast<uint32_t>(index);
-    }
-
-    /** Double the key table, rehashing slots and the undo log. */
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
-        std::vector<uint32_t> moved(old.size(), 0);
-        for (size_t i = 0; i < old.size(); ++i) {
-            if (!old[i].occupied)
-                continue;
-            size_t j = hashOf(old[i].key);
-            while (slots_[j].occupied)
-                j = (j + 1) & mask();
-            slots_[j] = old[i];
-            moved[i] = static_cast<uint32_t>(j);
-        }
-        for (uint32_t &index : undo_)
-            index = moved[index];
-    }
-
-    std::vector<Slot> slots_;
-    size_t used_ = 0;
-    std::vector<Binding> bindings_;
-    std::vector<uint32_t> undo_;   ///< slot index per binding made
-    std::vector<size_t> scopes_;   ///< undo_ size at each pushScope
+    std::unordered_map<Key, support::SmallVector<Binding, 2>, KeyHash>
+        table_;
+    std::vector<Key> undo_;     ///< key per binding made, scope order
+    std::vector<size_t> scopes_; ///< undo_ size at each pushScope
 };
 
 class EarlyCse : public Pass {
@@ -366,8 +269,6 @@ class EarlyCse : public Pass {
     bool
     runOnFunction(Function &fn)
     {
-        expressions_.clear();
-        memory_.clear();
         ir::DominatorTree domtree(fn);
         auto preds = ir::predecessorMap(fn);
 

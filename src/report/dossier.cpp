@@ -195,10 +195,14 @@ buildDossier(const DossierSnapshot &snapshot, corpus::CorpusStore &store,
     return dossier;
 }
 
-std::optional<DossierSnapshot>
-loadDossierSnapshot(corpus::CorpusStore &store, const EventLog *log,
-                    corpus::StoreError *error)
+std::optional<Dossier>
+buildDossier(corpus::CorpusStore &store, const EventLog *log,
+             const std::string &fingerprint,
+             corpus::StoreError *error)
 {
+    // A malformed fingerprint fails before the store is read.
+    if (!parseOrReject(fingerprint, error))
+        return std::nullopt;
     corpus::StoreError load_error;
     std::vector<corpus::StoredRecord> records =
         store.loadRecords(&load_error);
@@ -206,26 +210,14 @@ loadDossierSnapshot(corpus::CorpusStore &store, const EventLog *log,
         setError(error, load_error.status, load_error.message);
         return std::nullopt;
     }
-    // A store without a checkpoint still yields dossiers, with
+    // A store without a checkpoint still yields a dossier, with
     // positional build labels.
     std::optional<corpus::CheckpointState> state =
         corpus::readCheckpointState(store);
-    return makeDossierSnapshot(std::move(records),
-                               state ? &state->plan : nullptr, log);
-}
-
-std::optional<Dossier>
-buildDossier(corpus::CorpusStore &store, const EventLog *log,
-             const std::string &fingerprint,
-             corpus::StoreError *error)
-{
-    if (!parseOrReject(fingerprint, error))
-        return std::nullopt;
-    std::optional<DossierSnapshot> snapshot =
-        loadDossierSnapshot(store, log, error);
-    if (!snapshot)
-        return std::nullopt;
-    return buildDossier(*snapshot, store, fingerprint, error);
+    return buildDossier(
+        makeDossierSnapshot(std::move(records),
+                            state ? &state->plan : nullptr, log),
+        store, fingerprint, error);
 }
 
 std::string

@@ -120,18 +120,10 @@ buildDossier(const DossierSnapshot &snapshot, corpus::CorpusStore &store,
              corpus::StoreError *error = nullptr);
 
 /**
- * Load @p store into a fresh snapshot — one full record load, with the
- * checkpointed plan's build names when the store has a checkpoint —
- * consulting @p log (may be null) for reduction trajectories.
- */
-std::optional<DossierSnapshot>
-loadDossierSnapshot(corpus::CorpusStore &store, const EventLog *log,
-                    corpus::StoreError *error = nullptr);
-
-/**
- * One-off form for a single dossier: loadDossierSnapshot, then
- * buildDossier. A malformed fingerprint fails before the store is
- * read.
+ * One-off form for a single dossier (the ops server's /dossier/<fp>):
+ * loads @p store into a fresh snapshot — with the checkpointed plan's
+ * build names when the store has a checkpoint — and consults @p log
+ * (may be null) for the reduction trajectory.
  */
 std::optional<Dossier>
 buildDossier(corpus::CorpusStore &store, const EventLog *log,

@@ -405,16 +405,9 @@ OpsServer::dossierEndpoint(const HttpRequest &request) const
         return HttpResponse::text(
             400, "bad request: format must be json or md\n");
 
-    // A malformed fingerprint fails before the store is read.
-    if (!report::parseFingerprint(fingerprint))
-        return HttpResponse::text(404, "no finding with that fingerprint\n");
     corpus::StoreError error;
-    std::shared_ptr<const report::DossierSnapshot> snapshot =
-        dossierSnapshot(&error);
-    if (!snapshot)
-        return storeFailure(error);
     std::optional<report::Dossier> dossier = report::buildDossier(
-        *snapshot, *options_.store, fingerprint, &error);
+        *options_.store, options_.events, fingerprint, &error);
     if (!dossier) {
         if (error.status == corpus::StoreStatus::NotFound)
             return HttpResponse::text(
@@ -430,41 +423,6 @@ OpsServer::dossierEndpoint(const HttpRequest &request) const
         response.body = report::dossierJson(*dossier);
     }
     return response;
-}
-
-std::shared_ptr<const report::DossierSnapshot>
-OpsServer::dossierSnapshot(corpus::StoreError *error) const
-{
-    // Everything a snapshot reads, as cheap stamps: the checkpoint line
-    // (one small file read), the store's in-memory record index, and
-    // the event log's length. A full record load happens only when one
-    // of them moved.
-    DossierStamp stamp;
-    if (options_.store->hasCheckpoint()) {
-        std::optional<std::string> line =
-            options_.store->readCheckpoint(error);
-        if (!line)
-            return nullptr;
-        stamp.checkpoint = std::move(*line);
-    }
-    corpus::StoreStats stats = options_.store->stats();
-    stamp.records = stats.records;
-    stamp.bytes = stats.bytes;
-    stamp.generation = stats.generation;
-    stamp.events = options_.events ? options_.events->size() : 0;
-
-    std::lock_guard<std::mutex> lock(dossierMutex_);
-    if (!dossiers_ || !(stamp == dossiersStamp_)) {
-        std::optional<report::DossierSnapshot> fresh =
-            report::loadDossierSnapshot(*options_.store, options_.events,
-                                        error);
-        if (!fresh)
-            return nullptr;
-        dossiers_ = std::make_shared<const report::DossierSnapshot>(
-            std::move(*fresh));
-        dossiersStamp_ = std::move(stamp);
-    }
-    return dossiers_;
 }
 
 HttpResponse

@@ -38,14 +38,12 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
 #include "report/anomaly.hpp"
-#include "report/dossier.hpp"
 #include "report/event_log.hpp"
 #include "report/watchdog.hpp"
 #include "serve/http.hpp"
@@ -153,29 +151,8 @@ class OpsServer {
     HttpResponse timeseriesEndpoint(const HttpRequest &request) const;
     HttpResponse quitEndpoint();
 
-    /** /dossier/<fp>'s snapshot: one full record load per store state
-     * (checkpoint, stored records, event-log length), shared by every
-     * request until that state moves. */
-    std::shared_ptr<const report::DossierSnapshot>
-    dossierSnapshot(corpus::StoreError *error) const;
-
-    /** The store state a dossier snapshot was loaded from. */
-    struct DossierStamp {
-        std::string checkpoint; ///< checkpoint line, "" when none
-        uint64_t records = 0;   ///< StoreStats of the record index
-        uint64_t bytes = 0;
-        uint64_t generation = 0;
-        size_t events = 0;      ///< event-log length (trajectories)
-
-        bool operator==(const DossierStamp &) const = default;
-    };
-
     OpsServerOptions options_;
     HttpServer http_;
-
-    mutable std::mutex dossierMutex_;
-    mutable std::shared_ptr<const report::DossierSnapshot> dossiers_;
-    mutable DossierStamp dossiersStamp_;
 
     mutable std::mutex shutdownMutex_;
     std::condition_variable shutdownCv_;

@@ -488,7 +488,7 @@ TEST(Allocation, SeedPipelineStaysWithinItsHeapBudget)
 {
     // The campaign workload's per-seed path: all ten head builds with
     // primary analysis. Before the allocation-light pipeline these
-    // seeds made 54.7k operator-new calls per seed (about 17.8k
+    // seeds made 54.7k operator-new calls per seed (about 21.0k
     // after); the budget sits below 55% of the old count, so a return
     // to per-call containers in the IR helpers, analyses, clone or
     // interpreter trips it.
