@@ -290,19 +290,29 @@ runCheckpointed(CorpusStore &store, const CampaignPlan &plan,
     // names durable store state (the store flushes before each
     // checkpoint write), so missing records mean outside interference;
     // the pure-chunk property still lets us self-heal by discarding
-    // the checkpoint and recomputing everything.
+    // the checkpoint and recomputing everything. A filtered run (fleet
+    // lease) returns only the records it computes, so it checks the
+    // committed chunks against the store's index instead of decoding
+    // every earlier record.
     std::vector<core::ProgramRecord> records(plan.count);
     std::vector<char> have_record(plan.count, 0);
     if (have_ckpt && !ckpt.completed.empty()) {
-        std::vector<StoredRecord> stored = store.loadRecords(&err);
-        if (stored.empty() && !err.ok()) {
-            setError(error, err.status, err.message);
-            return std::nullopt;
-        }
-        for (StoredRecord &entry : stored) {
-            if (entry.slot < plan.count) {
-                records[entry.slot] = std::move(entry.record);
-                have_record[entry.slot] = 1;
+        if (options.chunkFilter) {
+            for (uint64_t slot : store.recordSlots()) {
+                if (slot < plan.count)
+                    have_record[slot] = 1;
+            }
+        } else {
+            std::vector<StoredRecord> stored = store.loadRecords(&err);
+            if (stored.empty() && !err.ok()) {
+                setError(error, err.status, err.message);
+                return std::nullopt;
+            }
+            for (StoredRecord &entry : stored) {
+                if (entry.slot < plan.count) {
+                    records[entry.slot] = std::move(entry.record);
+                    have_record[entry.slot] = 1;
+                }
             }
         }
         bool intact = true;

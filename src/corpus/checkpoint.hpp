@@ -172,6 +172,9 @@ struct CheckpointRunOptions {
      * checkpoint-consistent. Null = every chunk, exactly the
      * pre-fleet behaviour. Determinism is untouched — a chunk's
      * output never depends on which run (or process) computed it.
+     * A filtered run's campaign.programs holds only the records it
+     * computed; chunks committed earlier are checked against the
+     * store's index, not decoded.
      */
     std::function<bool(uint64_t)> chunkFilter;
 };

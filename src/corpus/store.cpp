@@ -448,12 +448,13 @@ CorpusStore::openAppendHandles(StoreError *error)
 //===------------------------------------------------------------------===//
 
 CorpusStore::Entry
-CorpusStore::appendPayload(std::string_view bytes)
+CorpusStore::appendPayload(std::string_view bytes, std::string crc)
 {
     Entry entry;
     entry.offset = payloadSize_;
     entry.length = bytes.size();
-    entry.payloadCrc = support::crc32Hex(bytes);
+    entry.payloadCrc =
+        crc.empty() ? support::crc32Hex(bytes) : std::move(crc);
     std::fwrite(bytes.data(), 1, bytes.size(), payloadFile_);
     payloadSize_ += bytes.size();
     bytesWritten_->add(bytes.size());
@@ -578,15 +579,33 @@ CorpusStore::putRecord(const core::ProgramRecord &record,
 {
     std::string payload = serializeRecord(record);
     std::lock_guard<std::mutex> lock(mutex_);
+    appendRecordLocked(payload, {}, record.seed, slot, chunk,
+                       program_hash);
+}
+
+void
+CorpusStore::putRawRecord(const RawRecord &record)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    appendRecordLocked(record.payload, record.payloadCrc, record.seed,
+                       record.slot, record.chunk, record.programHash);
+}
+
+void
+CorpusStore::appendRecordLocked(std::string_view payload,
+                                std::string crc, uint64_t seed,
+                                uint64_t slot, uint64_t chunk,
+                                const std::string &program_hash)
+{
     RecordEntry entry;
-    static_cast<Entry &>(entry) = appendPayload(payload);
-    entry.seed = record.seed;
+    static_cast<Entry &>(entry) = appendPayload(payload, std::move(crc));
+    entry.seed = seed;
     entry.chunk = chunk;
     entry.programHash = program_hash;
     JsonWriter writer;
     writer.beginObject();
     writer.field("t", "record");
-    writer.field("seed", record.seed);
+    writer.field("seed", seed);
     writer.field("slot", slot);
     writer.field("chunk", chunk);
     writer.field("h", program_hash);
@@ -622,6 +641,37 @@ CorpusStore::loadRecords(StoreError *error)
                            entry.programHash});
     }
     recordsLoaded_->add(records.size());
+    return records;
+}
+
+std::vector<uint64_t>
+CorpusStore::recordSlots() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<uint64_t> slots;
+    slots.reserve(recordsBySlot_.size());
+    for (const auto &[slot, entry] : recordsBySlot_)
+        slots.push_back(slot);
+    return slots;
+}
+
+std::vector<RawRecord>
+CorpusStore::loadRawRecords(const std::function<bool(uint64_t)> &want,
+                            StoreError *error)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<RawRecord> records;
+    for (const auto &[slot, entry] : recordsBySlot_) {
+        if (!want(entry.chunk))
+            continue;
+        std::optional<std::string> payload = readPayload(
+            entry, "record slot " + std::to_string(slot), error);
+        if (!payload)
+            return {};
+        records.push_back({slot, entry.chunk, entry.seed,
+                           entry.programHash, std::move(*payload),
+                           entry.payloadCrc});
+    }
     return records;
 }
 

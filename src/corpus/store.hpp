@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,6 +82,20 @@ struct StoredRecord {
     std::string programHash;
 };
 
+/**
+ * A record exactly as stored: its payload bytes (CRC-verified when
+ * loaded) plus the index fields that locate it. Lets a fleet merge
+ * copy records between stores without decoding and re-encoding them.
+ */
+struct RawRecord {
+    uint64_t slot = 0;
+    uint64_t chunk = 0;
+    uint64_t seed = 0;
+    std::string programHash;
+    std::string payload;    ///< serializeRecord() bytes
+    std::string payloadCrc; ///< crc32Hex(payload); empty = compute
+};
+
 struct OpenOptions {
     bool createIfMissing = true;
     /** Registry for the corpus.* metrics; null = the process global. */
@@ -130,6 +145,18 @@ class CorpusStore {
      * deserializes them all (counted in corpus.records_loaded). */
     std::vector<StoredRecord>
     loadRecords(StoreError *error = nullptr);
+    /** Slots that hold a record, ascending — an index lookup, no
+     * payload is read. */
+    std::vector<uint64_t> recordSlots() const;
+    /** The records whose chunk @p want accepts, sorted by slot, as
+     * their stored payload bytes (nothing is deserialized). */
+    std::vector<RawRecord>
+    loadRawRecords(const std::function<bool(uint64_t)> &want,
+                   StoreError *error = nullptr);
+    /** Append @p record's payload bytes verbatim (its loaded CRC is
+     * reused, not recomputed); the index entry equals what putRecord
+     * writes for the decoded record. */
+    void putRawRecord(const RawRecord &record);
 
     //===-- triage verdicts --------------------------------------------===//
 
@@ -203,9 +230,15 @@ class CorpusStore {
                                            std::string_view what,
                                            StoreError *error);
     /** Append a payload blob + its sealed index line (caller holds
-     * the mutex). Returns the entry describing the blob. */
-    Entry appendPayload(std::string_view bytes);
+     * the mutex). Returns the entry describing the blob. @p crc is the
+     * blob's known crc32Hex; empty = compute it. */
+    Entry appendPayload(std::string_view bytes, std::string crc = {});
     void appendIndexLine(const std::string &body);
+    /** Append a record payload and its index line (caller holds the
+     * mutex). */
+    void appendRecordLocked(std::string_view payload, std::string crc,
+                            uint64_t seed, uint64_t slot, uint64_t chunk,
+                            const std::string &program_hash);
     bool flushLocked(StoreError *error);
 
     std::string dir_;

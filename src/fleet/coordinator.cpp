@@ -181,6 +181,7 @@ FleetCoordinator::spawnWorker(uint64_t crash_after_chunks,
             ::_exit(127);
         }
         FleetWorkerOptions worker_options;
+        worker_options.pollMs = options_.pollMs;
         worker_options.crashAfterChunks = crash_after_chunks;
         ::_exit(runFleetWorker(fleetDir_, store_name,
                                worker_options));
@@ -246,6 +247,7 @@ FleetCoordinator::run(corpus::StoreError *error)
     }
 
     bool all_done = false;
+    uint64_t drain_us = 0; // first pass that saw every lease done
     {
     support::TraceSpan supervise_span("supervise", "fleet");
     for (;;) {
@@ -287,6 +289,13 @@ FleetCoordinator::run(corpus::StoreError *error)
                     {worker.pid, worker.store, !clean});
             }
         }
+        // A worker exits cleanly only once it has seen every lease
+        // done: release the idle ones now, ahead of the table scan.
+        bool clean_exit = false;
+        for (const Death &death : deaths)
+            clean_exit |= !death.crashed;
+        if (clean_exit)
+            nudgeWorkers(true);
         for (const Death &death : deaths) {
             if (!death.crashed)
                 continue;
@@ -306,21 +315,31 @@ FleetCoordinator::run(corpus::StoreError *error)
             if (options_.metrics && *returned)
                 options_.metrics->counter("fleet.leases_reclaimed")
                     .add(*returned);
+            if (*returned)
+                nudgeWorkers(false); // idle workers claim them now
             log("fleet: " + death.store + " pid " +
                 std::to_string(death.pid) + " died; reclaimed " +
                 std::to_string(*returned) + " lease(s)");
         }
 
-        std::optional<std::vector<Lease>> leases =
-            table.list(error);
-        if (!leases) {
-            cleanup();
-            return std::nullopt;
+        // Done is terminal: once every lease is, the table cannot
+        // change and the loop only waits for exits.
+        if (!all_done) {
+            std::optional<std::vector<Lease>> leases =
+                table.list(error);
+            if (!leases) {
+                cleanup();
+                return std::nullopt;
+            }
+            all_done = true;
+            for (const Lease &lease : *leases)
+                all_done &= lease.state == LeaseState::Done;
+            refreshBoard(*leases, !all_done);
+            if (all_done)
+                drain_us = steadyUs();
         }
-        all_done = true;
-        for (const Lease &lease : *leases)
-            all_done &= lease.state == LeaseState::Done;
-        refreshBoard(*leases, !all_done);
+        if (all_done && !clean_exit)
+            nudgeWorkers(true);
 
         // Respawn after the lease scan so a crash with everything
         // already done doesn't spawn a worker with nothing to do.
@@ -346,8 +365,11 @@ FleetCoordinator::run(corpus::StoreError *error)
             break;
         if (!any_alive && !all_done) {
             uint64_t open = 0;
-            for (const Lease &lease : *leases)
-                open += lease.state != LeaseState::Done;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                for (const Lease &lease : lastLeases_)
+                    open += lease.state != LeaseState::Done;
+            }
             cleanup();
             setError(error, corpus::StoreStatus::IoError,
                      "fleet stalled: no workers left (respawn "
@@ -359,6 +381,9 @@ FleetCoordinator::run(corpus::StoreError *error)
     }
     } // supervise span
     cleanup();
+    uint64_t merge_us = steadyUs();
+    observePhase("supervise", startUs_, drain_us);
+    observePhase("drain", drain_us, merge_us);
 
     std::optional<corpus::CheckpointedCampaign> merged;
     {
@@ -367,6 +392,7 @@ FleetCoordinator::run(corpus::StoreError *error)
     }
     if (!merged)
         return std::nullopt;
+    observePhase("merge", merge_us, steadyUs());
 
     FleetResult result;
     result.merged = std::move(*merged);
@@ -397,6 +423,29 @@ FleetCoordinator::run(corpus::StoreError *error)
         }
     }
     return result;
+}
+
+void
+FleetCoordinator::nudgeWorkers(bool all_done)
+{
+    // Only unreaped pids: a zombie keeps its pid, so the signal can
+    // never reach an unrelated process that reused it.
+    union sigval value = {};
+    value.sival_int = all_done ? kNudgeAllDone : 0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const WorkerProc &worker : workers_) {
+        if (worker.alive)
+            ::sigqueue(worker.pid, kNudgeSignal, value);
+    }
+}
+
+void
+FleetCoordinator::observePhase(const char *phase, uint64_t begin_us,
+                               uint64_t end_us)
+{
+    if (options_.metrics)
+        options_.metrics->histogram("fleet.phase_us", phase)
+            .observe(end_us - begin_us);
 }
 
 void

@@ -48,7 +48,10 @@ struct FleetOptions {
     unsigned workerCheckpointEveryChunks = 4;
     /** Crash-respawn budget across the fleet's lifetime. */
     unsigned maxRespawns = 8;
-    /** Supervision loop poll cadence (SIGCHLD wakes it early). */
+    /** Poll backstop of the supervision loop (SIGCHLD wakes it
+     * early) and of fork-mode workers' idle wait (the coordinator's
+     * nudge wakes them early; exec-mode workers keep
+     * FleetWorkerOptions' default). */
     uint64_t pollMs = 50;
     /**
      * Spawn workers by fork+exec of this argv (the fleet dir and
@@ -60,7 +63,8 @@ struct FleetOptions {
     /** Crash drill: the first spawned worker dies by SIGKILL after
      * this many chunk commits mid-lease (fork mode only). */
     uint64_t crashFirstWorkerAfterChunks = 0;
-    /** Registry for the fleet.* counters; null = none recorded. */
+    /** Registry for the fleet.* counters and the fleet.phase_us
+     * histograms (supervise, drain, merge); null = none recorded. */
     support::MetricsRegistry *metrics = nullptr;
     /** Fleet-wide tracing (DESIGN.md §17): persisted into PLAN.json so
      * every worker traces itself; after the run the coordinator folds
@@ -128,6 +132,11 @@ class FleetCoordinator final : public serve::FleetOpsSource {
     bool spawnWorker(uint64_t crash_after_chunks,
                      corpus::StoreError *error);
     void refreshBoard(const std::vector<Lease> &leases, bool active);
+    /** Wake every live worker's idle wait (kNudgeSignal), saying
+     * whether every lease is done. */
+    void nudgeWorkers(bool all_done);
+    void observePhase(const char *phase, uint64_t begin_us,
+                      uint64_t end_us);
     void log(const std::string &line) const;
 
     std::string fleetDir_;

@@ -1,5 +1,6 @@
 #include "fleet/fleet.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -31,11 +32,19 @@ FleetConfig::numChunks() const
     return (plan.count + chunk_size - 1) / chunk_size;
 }
 
-uint64_t
-FleetConfig::numLeases() const
+std::vector<std::pair<uint64_t, uint64_t>>
+leaseRanges(uint64_t num_chunks, uint64_t lease_chunks)
 {
-    uint64_t granule = leaseChunks ? leaseChunks : 1;
-    return (numChunks() + granule - 1) / granule;
+    uint64_t granule = lease_chunks ? lease_chunks : 1;
+    uint64_t coarse = (num_chunks + granule - 1) / granule;
+    uint64_t head_end =
+        std::min(num_chunks, (coarse - coarse / 4) * granule);
+    std::vector<std::pair<uint64_t, uint64_t>> ranges;
+    for (uint64_t begin = 0; begin < head_end; begin += granule)
+        ranges.emplace_back(begin, std::min(begin + granule, head_end));
+    for (uint64_t chunk = head_end; chunk < num_chunks; ++chunk)
+        ranges.emplace_back(chunk, chunk + 1);
+    return ranges;
 }
 
 std::string
@@ -132,7 +141,7 @@ monotonicMs()
 
 bool
 writeFileAtomic(const std::string &path, const std::string &contents,
-                corpus::StoreError *error)
+                corpus::StoreError *error, bool durable)
 {
     std::string tmp = path + ".tmp";
     std::FILE *file = std::fopen(tmp.c_str(), "wb");
@@ -144,7 +153,7 @@ writeFileAtomic(const std::string &path, const std::string &contents,
     bool ok = std::fwrite(contents.data(), 1, contents.size(), file) ==
               contents.size();
     ok = std::fflush(file) == 0 && ok;
-    ok = ::fsync(::fileno(file)) == 0 && ok;
+    ok = (!durable || ::fsync(::fileno(file)) == 0) && ok;
     ok = std::fclose(file) == 0 && ok;
     if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
         setError(error, corpus::StoreStatus::IoError,

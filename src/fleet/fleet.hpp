@@ -21,9 +21,12 @@
  */
 #pragma once
 
+#include <csignal>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "corpus/checkpoint.hpp"
 #include "corpus/store.hpp"
@@ -39,7 +42,8 @@ namespace dce::fleet {
  */
 struct FleetConfig {
     corpus::CampaignPlan plan;
-    /** Chunks per lease (the shard granule). */
+    /** Chunks per lease (the shard granule; leaseRanges() cuts the
+     * last quarter of the coarse leases into single chunks). */
     uint64_t leaseChunks = 1;
     /** A claimed lease older than this is reclaimable even if its
      * owner still looks alive — the crash backstop for owners the
@@ -63,8 +67,34 @@ struct FleetConfig {
     uint64_t snapshotIntervalMs = 0;
 
     uint64_t numChunks() const;
-    uint64_t numLeases() const;
 };
+
+/**
+ * The lease table's shard geometry: each lease's [begin, end) chunk
+ * range, in lease-index order, tiling [0, @p num_chunks) exactly
+ * once. Leases hold @p lease_chunks chunks, except that the last
+ * quarter of that coarse partition is cut into single-chunk leases,
+ * so a fleet finishes on small units instead of idling behind one
+ * coarse straggler. (Auto geometry aims at four coarse leases per
+ * worker, so the quarter is about workers × lease_chunks chunks.) A
+ * pure function of its arguments, both persisted in PLAN.json, so a
+ * resumed fleet recomputes the same boundaries.
+ */
+std::vector<std::pair<uint64_t, uint64_t>>
+leaseRanges(uint64_t num_chunks, uint64_t lease_chunks);
+
+/**
+ * The signal that nudges an idle worker out of its poll wait, sent
+ * with sigqueue: a value of kNudgeAllDone says every lease is done
+ * (the worker exits without another table scan); 0 says a lease
+ * returned to the pool. Its default action is to ignore it, so a
+ * nudge that lands before a fresh worker has blocked it is dropped
+ * instead of killing the worker; that worker's first lease-table read
+ * sees the new state anyway. Workers keep it blocked in every thread
+ * and take it with sigtimedwait.
+ */
+inline constexpr int kNudgeSignal = SIGURG;
+inline constexpr int kNudgeAllDone = 1;
 
 std::string planPath(const std::string &fleet_dir);
 std::string leasesDir(const std::string &fleet_dir);
@@ -102,10 +132,13 @@ std::optional<FleetConfig>
 readFleetConfig(const std::string &fleet_dir,
                 corpus::StoreError *error = nullptr);
 
-/** Atomic (temp + rename) small-file write, fleet-file idiom. */
+/** Atomic (temp + rename) small-file write, fleet-file idiom. With
+ * @p durable false the fsync is skipped: for sealed files whose loss
+ * in a crash costs nothing (a reader rejects a torn one). */
 bool writeFileAtomic(const std::string &path,
                      const std::string &contents,
-                     corpus::StoreError *error = nullptr);
+                     corpus::StoreError *error = nullptr,
+                     bool durable = true);
 
 /** Whole-file read; nullopt + classified @p error on failure. */
 std::optional<std::string>

@@ -237,15 +237,34 @@ LeaseTable::init(const std::string &fleet_dir, uint64_t num_chunks,
     TableLock lock(fleet_dir, error);
     if (!lock.held())
         return false;
-    uint64_t granule = lease_chunks ? lease_chunks : 1;
-    for (uint64_t index = 0, begin = 0; begin < num_chunks;
-         ++index, begin += granule) {
-        if (::access(leasePath(fleet_dir, index).c_str(), F_OK) == 0)
-            continue; // resume: keep recorded state
+    std::optional<uint64_t> existing = countLeases(fleet_dir, error);
+    if (!existing)
+        return false;
+    std::vector<std::pair<uint64_t, uint64_t>> ranges =
+        leaseRanges(num_chunks, lease_chunks);
+    if (*existing) {
+        // A table whose last lease reaches the end is whole: keep its
+        // recorded boundaries, whatever geometry wrote them. One whose
+        // init was cut short holds a prefix of this geometry (init
+        // writes in index order) and gets the missing suffix.
+        std::optional<Lease> last =
+            readLease(fleet_dir, *existing - 1, error);
+        if (!last)
+            return false;
+        if (last->endChunk >= num_chunks)
+            return true;
+        if (*existing > ranges.size() ||
+            ranges[*existing - 1].second != last->endChunk) {
+            setError(error, corpus::StoreStatus::Corrupt,
+                     "partial lease table does not match its geometry");
+            return false;
+        }
+    }
+    for (uint64_t index = *existing; index < ranges.size(); ++index) {
         Lease lease;
         lease.index = index;
-        lease.beginChunk = begin;
-        lease.endChunk = std::min(begin + granule, num_chunks);
+        lease.beginChunk = ranges[index].first;
+        lease.endChunk = ranges[index].second;
         if (!writeLease(fleet_dir, lease, error))
             return false;
     }
@@ -276,8 +295,10 @@ LeaseTable::list(corpus::StoreError *error) const
 std::optional<Lease>
 LeaseTable::claim(int64_t pid, const std::string &store,
                   uint64_t ttl_ms, uint64_t steal_after_ms,
-                  corpus::StoreError *error)
+                  corpus::StoreError *error, bool *all_done)
 {
+    if (all_done)
+        *all_done = false;
     TableLock lock(fleetDir_, error);
     if (!lock.held())
         return std::nullopt;
@@ -285,11 +306,13 @@ LeaseTable::claim(int64_t pid, const std::string &store,
     if (!count)
         return std::nullopt;
     uint64_t now = monotonicMs();
+    bool every_done = true;
     for (uint64_t index = 0; index < *count; ++index) {
         std::optional<Lease> lease =
             readLease(fleetDir_, index, error);
         if (!lease)
             return std::nullopt;
+        every_done &= lease->state == LeaseState::Done;
         bool runnable = false;
         if (lease->state == LeaseState::Available) {
             runnable = true;
@@ -316,6 +339,8 @@ LeaseTable::claim(int64_t pid, const std::string &store,
         return lease;
     }
     clearError(error); // nothing runnable is not a failure
+    if (all_done)
+        *all_done = every_done;
     return std::nullopt;
 }
 

@@ -74,9 +74,10 @@ struct Lease {
  */
 class LeaseTable {
   public:
-    /** Create leases/ and any missing lease files covering
-     * [0, num_chunks) in granules of @p lease_chunks. Existing lease
-     * files are left untouched (resume keeps done work). */
+    /** Create leases/ and the lease files of leaseRanges(@p
+     * num_chunks, @p lease_chunks). A table that already covers every
+     * chunk is left untouched (resume keeps done work and recorded
+     * boundaries); one cut short mid-init gets its missing suffix. */
     static bool init(const std::string &fleet_dir, uint64_t num_chunks,
                      uint64_t lease_chunks,
                      corpus::StoreError *error = nullptr);
@@ -94,12 +95,15 @@ class LeaseTable {
      * Claim the lowest-index runnable lease for (@p pid, @p store):
      * available, claimed by a dead pid, past the fleet TTL, or —
      * when @p steal_after_ms > 0 — claimed longer ago than that.
-     * nullopt with error Ok when nothing is runnable right now.
+     * nullopt with error Ok when nothing is runnable right now; then
+     * @p all_done, if given, says whether every lease is done (so a
+     * worker can exit without a second table scan).
      */
     std::optional<Lease> claim(int64_t pid, const std::string &store,
                                uint64_t ttl_ms,
                                uint64_t steal_after_ms,
-                               corpus::StoreError *error = nullptr);
+                               corpus::StoreError *error = nullptr,
+                               bool *all_done = nullptr);
 
     /**
      * Mark @p lease done with its payload — unless the table's copy

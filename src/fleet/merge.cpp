@@ -5,9 +5,11 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "corpus/serialize.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/lease.hpp"
 #include "support/rng.hpp"
@@ -26,6 +28,61 @@ setError(corpus::StoreError *error, corpus::StoreStatus status,
     }
 }
 
+/** One worker store's share of the merge: the records of the chunks
+ * its done leases cover, as stored bytes and decoded, plus their
+ * programs. */
+struct StoreShare {
+    std::vector<corpus::RawRecord> raw;
+    std::vector<core::ProgramRecord> decoded;
+    std::unordered_map<std::string, std::string> programs;
+    corpus::StoreError error;
+};
+
+void
+loadShare(const std::string &fleet_dir, const std::string &store_name,
+          const std::vector<char> &chunks, uint64_t slots,
+          StoreShare &share)
+{
+    support::MetricsRegistry scratch;
+    corpus::OpenOptions open_options;
+    open_options.createIfMissing = false;
+    open_options.metrics = &scratch;
+    std::unique_ptr<corpus::CorpusStore> store = corpus::CorpusStore::open(
+        workerStoreDir(fleet_dir, store_name), &share.error, open_options);
+    if (!store)
+        return;
+    share.raw = store->loadRawRecords(
+        [&](uint64_t chunk) {
+            return chunk < chunks.size() && chunks[chunk];
+        },
+        &share.error);
+    if (!share.error.ok())
+        return;
+    std::erase_if(share.raw, [&](const corpus::RawRecord &record) {
+        return record.slot >= slots;
+    });
+    share.decoded.reserve(share.raw.size());
+    for (const corpus::RawRecord &record : share.raw) {
+        std::optional<core::ProgramRecord> decoded =
+            corpus::deserializeRecord(record.payload);
+        if (!decoded) {
+            setError(&share.error, corpus::StoreStatus::Corrupt,
+                     store_name + " record slot " +
+                         std::to_string(record.slot) +
+                         " does not deserialize");
+            return;
+        }
+        share.decoded.push_back(std::move(*decoded));
+        if (share.programs.count(record.programHash))
+            continue;
+        std::optional<std::string> text =
+            store->getProgram(record.programHash, &share.error);
+        if (!text)
+            return;
+        share.programs.emplace(record.programHash, std::move(*text));
+    }
+}
+
 } // namespace
 
 std::optional<corpus::CheckpointedCampaign>
@@ -37,7 +94,6 @@ mergeFleet(const std::string &fleet_dir, corpus::StoreError *error)
         return std::nullopt;
     const corpus::CampaignPlan &plan = config->plan;
     const std::string plan_json = corpus::serializePlan(plan);
-    const uint64_t chunk_size = plan.chunkSize ? plan.chunkSize : 1;
     const uint64_t num_chunks = config->numChunks();
 
     LeaseTable table(fleet_dir);
@@ -56,51 +112,55 @@ mergeFleet(const std::string &fleet_dir, corpus::StoreError *error)
 
     // Pull each slot's record (and program text) from the store whose
     // done lease covers its chunk — the authoritative copy even when
-    // a crashed worker's store holds a stale duplicate.
-    std::vector<core::ProgramRecord> records(plan.count);
-    std::vector<std::string> hashes(plan.count);
-    std::vector<char> have(plan.count, 0);
-    std::unordered_map<std::string, std::string> programs;
-    std::map<std::string, std::set<uint64_t>> chunks_by_store;
+    // a crashed worker's store holds a stale duplicate. One thread per
+    // store; a record's stored bytes are copied, not re-encoded.
+    std::map<std::string, std::vector<char>> chunks_by_store;
     for (const Lease &lease : *leases) {
+        std::vector<char> &chunks = chunks_by_store[lease.store];
+        chunks.resize(num_chunks, 0);
         for (uint64_t chunk = lease.beginChunk;
-             chunk < lease.endChunk; ++chunk)
-            chunks_by_store[lease.store].insert(chunk);
+             chunk < lease.endChunk && chunk < num_chunks; ++chunk)
+            chunks[chunk] = 1;
     }
-    for (const auto &[store_name, chunks] : chunks_by_store) {
-        support::MetricsRegistry scratch;
-        corpus::OpenOptions open_options;
-        open_options.createIfMissing = false;
-        open_options.metrics = &scratch;
-        std::unique_ptr<corpus::CorpusStore> store =
-            corpus::CorpusStore::open(
-                workerStoreDir(fleet_dir, store_name), error,
-                open_options);
-        if (!store)
+    std::vector<StoreShare> shares(chunks_by_store.size());
+    std::vector<std::jthread> loaders;
+    size_t share = 0;
+    for (const auto &[store_name, chunks] : chunks_by_store)
+        loaders.emplace_back(loadShare, std::cref(fleet_dir),
+                             std::cref(store_name), std::cref(chunks),
+                             plan.count, std::ref(shares[share++]));
+    // Meanwhile create the merged store (a few fsyncs), replacing any
+    // previous merge.
+    std::string merged_dir = mergedStoreDir(fleet_dir);
+    std::error_code ec;
+    std::filesystem::remove_all(merged_dir, ec);
+    support::MetricsRegistry merged_scratch;
+    corpus::OpenOptions merged_options;
+    merged_options.metrics = &merged_scratch;
+    std::unique_ptr<corpus::CorpusStore> merged =
+        corpus::CorpusStore::open(merged_dir, error, merged_options);
+    for (std::jthread &loader : loaders)
+        loader.join();
+    if (!merged)
+        return std::nullopt;
+    std::vector<core::ProgramRecord> records(plan.count);
+    std::vector<const corpus::RawRecord *> raw(plan.count, nullptr);
+    std::vector<const std::string *> programs(plan.count, nullptr);
+    for (StoreShare &share : shares) {
+        if (!share.error.ok()) {
+            setError(error, share.error.status, share.error.message);
             return std::nullopt;
-        std::vector<corpus::StoredRecord> stored =
-            store->loadRecords(error);
-        if (error && !error->ok())
-            return std::nullopt;
-        for (corpus::StoredRecord &entry : stored) {
-            if (!chunks.count(entry.chunk) ||
-                entry.slot >= plan.count)
-                continue;
-            if (!programs.count(entry.programHash)) {
-                std::optional<std::string> text =
-                    store->getProgram(entry.programHash, error);
-                if (!text)
-                    return std::nullopt;
-                programs.emplace(entry.programHash,
-                                 std::move(*text));
-            }
-            records[entry.slot] = std::move(entry.record);
-            hashes[entry.slot] = entry.programHash;
-            have[entry.slot] = 1;
+        }
+        for (size_t i = 0; i < share.raw.size(); ++i) {
+            const corpus::RawRecord &record = share.raw[i];
+            records[record.slot] = std::move(share.decoded[i]);
+            raw[record.slot] = &record;
+            programs[record.slot] =
+                &share.programs.at(record.programHash);
         }
     }
     for (uint64_t slot = 0; slot < plan.count; ++slot) {
-        if (!have[slot]) {
+        if (!raw[slot]) {
             setError(error, corpus::StoreStatus::Corrupt,
                      "merge found no record for slot " +
                          std::to_string(slot));
@@ -165,23 +225,12 @@ mergeFleet(const std::string &fleet_dir, corpus::StoreError *error)
         rng_state = rng.state();
     }
 
-    // Build the merged store: programs + records in slot order, then
+    // Fill the merged store: programs + records in slot order, then
     // the complete-campaign checkpoint, byte-for-byte what a live run
     // writes.
-    std::string merged_dir = mergedStoreDir(fleet_dir);
-    std::error_code ec;
-    std::filesystem::remove_all(merged_dir, ec);
-    support::MetricsRegistry merged_scratch;
-    corpus::OpenOptions merged_options;
-    merged_options.metrics = &merged_scratch;
-    std::unique_ptr<corpus::CorpusStore> merged =
-        corpus::CorpusStore::open(merged_dir, error, merged_options);
-    if (!merged)
-        return std::nullopt;
     for (uint64_t slot = 0; slot < plan.count; ++slot) {
-        merged->putProgram(hashes[slot], programs.at(hashes[slot]));
-        merged->putRecord(records[slot], slot, slot / chunk_size,
-                          hashes[slot]);
+        merged->putProgram(raw[slot]->programHash, *programs[slot]);
+        merged->putRawRecord(*raw[slot]);
     }
     std::set<uint64_t> completed;
     for (uint64_t chunk = 0; chunk < num_chunks; ++chunk)

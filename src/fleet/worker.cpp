@@ -1,9 +1,11 @@
 #include "fleet/worker.hpp"
 
 #include <cstdio>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <optional>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -39,9 +41,11 @@ publishMetrics(const std::string &fleet_dir,
 {
     CounterList counter_list(counters.begin(), counters.end());
     HistogramList hist_list(hists.begin(), hists.end());
-    // Best-effort: a failed dump costs one scrape, never the run.
+    // Best-effort, so not fsync'd: a failed or torn dump costs one
+    // scrape (its seal rejects it), never the run.
     writeFileAtomic(workerMetricsPath(fleet_dir, store_name),
-                    encodeRegistryDump(counter_list, hist_list));
+                    encodeRegistryDump(counter_list, hist_list), nullptr,
+                    /*durable=*/false);
 }
 
 } // namespace
@@ -51,6 +55,13 @@ runFleetWorker(const std::string &fleet_dir,
                const std::string &store_name,
                const FleetWorkerOptions &options)
 {
+    // Block the nudge before any helper thread starts, so every
+    // thread inherits the block and only the idle wait below takes it.
+    sigset_t nudge;
+    ::sigemptyset(&nudge);
+    ::sigaddset(&nudge, kNudgeSignal);
+    ::pthread_sigmask(SIG_BLOCK, &nudge, nullptr);
+
     corpus::StoreError error;
     std::optional<FleetConfig> config =
         readFleetConfig(fleet_dir, &error);
@@ -109,22 +120,26 @@ runFleetWorker(const std::string &fleet_dir,
     uint64_t crash_after = options.crashAfterChunks;
 
     for (;;) {
+        bool all_done = false;
         std::optional<Lease> lease =
             table.claim(::getpid(), store_name, config->leaseTtlMs,
-                        config->stealAfterMs, &error);
+                        config->stealAfterMs, &error, &all_done);
         if (!lease && !error.ok())
             return fail(error, "claim lease");
         if (!lease) {
-            std::optional<std::vector<Lease>> leases =
-                table.list(&error);
-            if (!leases)
-                return fail(error, "list leases");
-            bool all_done = true;
-            for (const Lease &entry : *leases)
-                all_done &= entry.state == LeaseState::Done;
             if (all_done)
                 break;
-            ::usleep(useconds_t(options.pollMs * 1000));
+            // Sleep until nudged (all leases done, or one returned to
+            // the pool); the poll timeout is the backstop for TTL
+            // expiry and steals, which nobody announces.
+            struct timespec timeout = {
+                time_t(options.pollMs / 1000),
+                long(options.pollMs % 1000) * 1000000};
+            siginfo_t info = {};
+            if (::sigtimedwait(&nudge, &info, &timeout) == kNudgeSignal &&
+                info.si_code == SI_QUEUE &&
+                info.si_value.sival_int == kNudgeAllDone)
+                break;
             continue;
         }
 

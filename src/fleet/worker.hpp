@@ -19,7 +19,10 @@
 namespace dce::fleet {
 
 struct FleetWorkerOptions {
-    /** Idle poll cadence while other workers still hold leases. */
+    /** Idle poll cadence while other workers still hold leases: the
+     * backstop for TTL expiry and steals. The coordinator's nudge
+     * (kNudgeSignal) ends the wait early when every lease is done or
+     * a lease returns to the pool. */
     uint64_t pollMs = 20;
     /**
      * Crash drill hook: after this many chunk commits in the first

@@ -109,34 +109,18 @@ removeUnreachableBlocks(Function &fn)
     if (live == reachable.size())
         return 0;
 
-    // Collect doomed blocks first; then fix phis in survivors; then
-    // erase (eraseBlock drops operand uses, so cross-references among
-    // doomed blocks are fine in any order).
-    std::vector<BasicBlock *> doomed;
-    doomed.reserve(reachable.size() - live);
+    // Only a doomed block's live successors can carry phi entries for
+    // it; drop those, then erase every doomed block in one compaction.
     for (const auto &block : fn.blocks()) {
-        if (!reachable[block->indexInFn()])
-            doomed.push_back(block.get());
-    }
-
-    for (const auto &block : fn.blocks()) {
-        if (!reachable[block->indexInFn()])
+        if (reachable[block->indexInFn()])
             continue;
-        for (BasicBlock *dead : doomed)
-            block->removePhiIncomingFor(dead);
+        for (BasicBlock *succ : block->successors()) {
+            if (reachable[succ->indexInFn()])
+                succ->removePhiIncomingFor(block.get());
+        }
     }
-
-    // Values defined in doomed blocks may still be referenced by
-    // instructions of *other* doomed blocks. Sever every doomed
-    // instruction's operand links first, so that no dropOperands call
-    // during block destruction touches an already-destroyed value.
-    for (BasicBlock *dead : doomed) {
-        for (const auto &instr : dead->instrs())
-            instr->dropOperands();
-    }
-    for (BasicBlock *dead : doomed)
-        fn.eraseBlock(dead);
-    return static_cast<unsigned>(doomed.size());
+    fn.eraseBlocksExcept(reachable);
+    return static_cast<unsigned>(reachable.size() - live);
 }
 
 } // namespace dce::ir

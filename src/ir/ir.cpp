@@ -422,6 +422,27 @@ Function::eraseBlock(BasicBlock *block)
 }
 
 void
+Function::eraseBlocksExcept(const std::vector<unsigned char> &keep)
+{
+    assert(keep.size() == blocks_.size());
+    size_t first = blocks_.size();
+    for (size_t i = 0; i < blocks_.size(); ++i) {
+        if (keep[i])
+            continue;
+        first = std::min(first, i);
+        for (auto &instr : blocks_[i]->instrs_)
+            instr->dropOperands();
+    }
+    size_t out = first;
+    for (size_t i = first; i < blocks_.size(); ++i) {
+        if (keep[i])
+            blocks_[out++] = std::move(blocks_[i]);
+    }
+    blocks_.resize(out);
+    renumberBlocksFrom(first);
+}
+
+void
 Function::moveBlockTo(size_t index, BasicBlock *block)
 {
     size_t from = indexOfBlock(block);

@@ -544,6 +544,13 @@ class Function {
      * instructions, and no terminator outside branches to it.
      */
     void eraseBlock(BasicBlock *block);
+    /**
+     * Remove and destroy every block whose flag in @p keep (indexed by
+     * indexInFn()) is zero, compacting the block list and renumbering
+     * once. Operand uses of all removed blocks are dropped before any
+     * is destroyed. @pre as eraseBlock, for each removed block.
+     */
+    void eraseBlocksExcept(const std::vector<unsigned char> &keep);
     /** Move @p block to position @p index (printer/codegen ordering). */
     void moveBlockTo(size_t index, BasicBlock *block);
     size_t indexOfBlock(const BasicBlock *block) const;

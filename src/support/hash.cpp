@@ -27,17 +27,33 @@ toHex(uint64_t value, unsigned digits)
     return out;
 }
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/** Slicing-by-8 tables: tables[0] is the bytewise CRC-32 table and
+ * tables[k][i] is tables[k - 1][i] advanced by one more zero byte, so
+ * eight input bytes fold in with eight independent lookups. */
+std::array<std::array<uint32_t, 256>, 8>
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    std::array<std::array<uint32_t, 256>, 8> tables{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t crc = i;
         for (int bit = 0; bit < 8; ++bit)
             crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0);
-        table[i] = crc;
+        tables[0][i] = crc;
     }
-    return table;
+    for (size_t k = 1; k < tables.size(); ++k) {
+        for (uint32_t i = 0; i < 256; ++i) {
+            uint32_t prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+        }
+    }
+    return tables;
+}
+
+uint32_t
+loadLe32(const unsigned char *bytes)
+{
+    return uint32_t(bytes[0]) | uint32_t(bytes[1]) << 8 |
+           uint32_t(bytes[2]) << 16 | uint32_t(bytes[3]) << 24;
 }
 
 } // namespace
@@ -51,10 +67,21 @@ fnv1a64Hex(std::string_view data)
 uint32_t
 crc32(std::string_view data)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
+    static const std::array<std::array<uint32_t, 256>, 8> t =
+        makeCrcTables();
     uint32_t crc = 0xffffffffu;
-    for (unsigned char byte : data)
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xff];
+    const auto *bytes = reinterpret_cast<const unsigned char *>(data.data());
+    size_t left = data.size();
+    for (; left >= 8; bytes += 8, left -= 8) {
+        uint32_t lo = crc ^ loadLe32(bytes);
+        uint32_t hi = loadLe32(bytes + 4);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+              t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; left > 0; ++bytes, --left)
+        crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xff];
     return crc ^ 0xffffffffu;
 }
 

@@ -19,7 +19,9 @@
 #include "corpus/json.hpp"
 #include "corpus/serialize.hpp"
 #include "corpus/store.hpp"
+#include "support/hash.hpp"
 #include "support/metrics.hpp"
+#include "support/rng.hpp"
 
 namespace fs = std::filesystem;
 
@@ -147,6 +149,32 @@ TEST(Json, SealedLinesDetectEveryBitFlip)
 // Serialization
 //===------------------------------------------------------------------===//
 
+TEST(Json, Crc32MatchesTheBitwiseDefinition)
+{
+    auto bitwise = [](std::string_view data) {
+        uint32_t crc = 0xffffffffu;
+        for (unsigned char byte : data) {
+            crc ^= byte;
+            for (int bit = 0; bit < 8; ++bit)
+                crc = (crc >> 1) ^ ((crc & 1) ? 0xedb88320u : 0);
+        }
+        return crc ^ 0xffffffffu;
+    };
+    EXPECT_EQ(support::crc32("123456789"), 0xcbf43926u);
+    EXPECT_EQ(support::crc32(""), 0u);
+    Rng rng(7);
+    std::string buffer(96, '\0');
+    for (char &byte : buffer)
+        byte = char(rng.next());
+    // Every length and alignment around the 8-byte stride.
+    for (size_t offset = 0; offset < 8; ++offset)
+        for (size_t length = 0; offset + length <= buffer.size(); ++length) {
+            std::string_view data(buffer.data() + offset, length);
+            ASSERT_EQ(support::crc32(data), bitwise(data))
+                << offset << "+" << length;
+        }
+}
+
 TEST(Serialize, ProgramRecordsRoundTripExactly)
 {
     core::CampaignOptions options;
@@ -272,6 +300,54 @@ TEST(Corpus, StoreRoundTripsAcrossReopen)
     EXPECT_EQ(stats.records, campaign.programs.size());
     EXPECT_EQ(stats.verdicts, 1u);
     EXPECT_EQ(stats.recoveredLines, 0u);
+}
+
+TEST(Corpus, RawRecordsCopyToIdenticalStoreBytes)
+{
+    // putRawRecord of loadRawRecords output writes exactly the bytes
+    // putRecord writes for the decoded records.
+    TempDir source_dir("raw_src"), decoded_dir("raw_dec"), raw_dir("raw");
+    support::MetricsRegistry registry;
+    OpenOptions options;
+    options.metrics = &registry;
+    core::CampaignOptions campaign_options;
+    campaign_options.computePrimary = true;
+    core::Campaign campaign = core::runCampaign(
+        6, 6, {alphaO3(), betaO3()}, campaign_options);
+    StoreError error;
+    auto source = CorpusStore::open(source_dir.str(), &error, options);
+    ASSERT_TRUE(source) << error.message;
+    ASSERT_EQ(campaign.programs.size(), 6u);
+    for (size_t i = 0; i < campaign.programs.size(); ++i)
+        source->putRecord(campaign.programs[i], i, i / 2,
+                          "h" + std::to_string(i));
+
+    std::vector<RawRecord> raw = source->loadRawRecords(
+        [](uint64_t chunk) { return chunk != 1; }, &error);
+    ASSERT_TRUE(error.ok()) << error.message;
+    ASSERT_EQ(raw.size(), 4u);
+    EXPECT_EQ(raw[2].slot, 4u);
+    EXPECT_EQ(raw[2].chunk, 2u);
+    EXPECT_EQ(source->recordSlots(),
+              (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
+    {
+        auto decoded = CorpusStore::open(decoded_dir.str(), &error, options);
+        auto copied = CorpusStore::open(raw_dir.str(), &error, options);
+        ASSERT_TRUE(decoded && copied) << error.message;
+        for (const RawRecord &record : raw) {
+            std::optional<core::ProgramRecord> value =
+                deserializeRecord(record.payload);
+            ASSERT_TRUE(value);
+            EXPECT_TRUE(*value == campaign.programs[record.slot]);
+            decoded->putRecord(*value, record.slot, record.chunk,
+                               record.programHash);
+            copied->putRawRecord(record);
+        }
+    }
+    for (const char *file : {"/index.0.jsonl", "/payload.0.dat"})
+        EXPECT_EQ(readFile(raw_dir.str() + file),
+                  readFile(decoded_dir.str() + file))
+            << file;
 }
 
 TEST(Corpus, DuplicateProgramsCountAsDedupHits)

@@ -9,7 +9,9 @@
  * children never touch inherited threads. */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -56,11 +58,11 @@ class TempDir {
 };
 
 corpus::CampaignPlan
-fleetPlan()
+fleetPlan(uint64_t count = 18, unsigned chunk_size = 3)
 {
     corpus::CampaignPlan plan;
-    plan.count = 18;
-    plan.chunkSize = 3;
+    plan.count = count;
+    plan.chunkSize = chunk_size;
     plan.randomSeeds = true;
     plan.streamSeed = 2024;
     plan.builds = {{CompilerId::Alpha, OptLevel::O3, SIZE_MAX},
@@ -75,7 +77,8 @@ fleetPlan()
 /** Reference single-process run: summary + report markdown. */
 void
 runReference(const std::string &dir, std::string &summary,
-             std::string &report)
+             std::string &report,
+             const corpus::CampaignPlan &plan = fleetPlan())
 {
     corpus::StoreError error;
     support::MetricsRegistry registry;
@@ -87,7 +90,7 @@ runReference(const std::string &dir, std::string &summary,
     run.metrics = &registry;
     run.checkpointEveryChunks = 2;
     std::optional<corpus::CheckpointedCampaign> result =
-        corpus::runCheckpointed(*store, fleetPlan(), run, &error);
+        corpus::runCheckpointed(*store, plan, run, &error);
     ASSERT_TRUE(result) << error.message;
     ASSERT_TRUE(result->completed);
     summary = corpus::summaryText(*result);
@@ -238,6 +241,67 @@ TEST(Fleet, ReclaimOwnedByReturnsOnlyThatPidsLeases)
     EXPECT_EQ((*leases)[0].epoch, 1u);
 }
 
+TEST(Fleet, LeaseGeometryTilesChunksAndFinishesOnSingleChunks)
+{
+    for (uint64_t chunks : {0u, 1u, 5u, 6u, 17u, 48u, 120u}) {
+        for (uint64_t granule : {0u, 1u, 2u, 3u, 10u}) {
+            std::vector<std::pair<uint64_t, uint64_t>> ranges =
+                leaseRanges(chunks, granule);
+            uint64_t next = 0;
+            for (const auto &[begin, end] : ranges) {
+                EXPECT_EQ(begin, next) << chunks << "/" << granule;
+                EXPECT_GT(end, begin) << chunks << "/" << granule;
+                EXPECT_LE(end - begin, std::max<uint64_t>(granule, 1));
+                next = end;
+            }
+            EXPECT_EQ(next, chunks) << chunks << "/" << granule;
+        }
+    }
+    // 48 chunks in granules of 3 (auto geometry for 4 workers): the
+    // last quarter of the 16 coarse leases becomes 12 single chunks.
+    std::vector<std::pair<uint64_t, uint64_t>> ranges = leaseRanges(48, 3);
+    ASSERT_EQ(ranges.size(), 24u);
+    EXPECT_EQ(ranges[11], std::make_pair(uint64_t(33), uint64_t(36)));
+    EXPECT_EQ(ranges[12], std::make_pair(uint64_t(36), uint64_t(37)));
+    EXPECT_EQ(ranges[23], std::make_pair(uint64_t(47), uint64_t(48)));
+}
+
+TEST(Fleet, LeaseTableReinitKeepsItsBoundaries)
+{
+    TempDir dir("reinit");
+    corpus::StoreError error;
+    ASSERT_TRUE(LeaseTable::init(dir.str(), 48, 3, &error))
+        << error.message;
+    LeaseTable table(dir.str());
+    auto boundaries = [&] {
+        std::vector<std::pair<uint64_t, uint64_t>> out;
+        std::optional<std::vector<Lease>> leases = table.list(&error);
+        EXPECT_TRUE(leases) << error.message;
+        if (leases)
+            for (const Lease &lease : *leases)
+                out.emplace_back(lease.beginChunk, lease.endChunk);
+        return out;
+    };
+    EXPECT_EQ(boundaries(), leaseRanges(48, 3));
+
+    // A claimed lease and its epoch survive a resume's re-init.
+    ASSERT_TRUE(table.claim(::getpid(), "worker.0", 0, 0, &error));
+    ASSERT_TRUE(LeaseTable::init(dir.str(), 48, 3, &error));
+    EXPECT_EQ(boundaries(), leaseRanges(48, 3));
+    EXPECT_EQ(table.list(&error)->front().epoch, 1u);
+
+    // An init cut short gets exactly its missing suffix.
+    for (uint64_t index = 20; index < 24; ++index)
+        fs::remove(leasePath(dir.str(), index));
+    ASSERT_TRUE(LeaseTable::init(dir.str(), 48, 3, &error))
+        << error.message;
+    EXPECT_EQ(boundaries(), leaseRanges(48, 3));
+
+    // A whole table keeps its recorded boundaries under any geometry.
+    ASSERT_TRUE(LeaseTable::init(dir.str(), 48, 4, &error));
+    EXPECT_EQ(boundaries(), leaseRanges(48, 3));
+}
+
 //===------------------------------------------------------------------===//
 // Metrics dump transport
 //===------------------------------------------------------------------===//
@@ -298,6 +362,78 @@ TEST(Fleet, MergedOutputMatchesSingleProcessAcrossWorkerCounts)
                   reference_report)
             << "workers=" << workers;
     }
+}
+
+TEST(Fleet, AutoGeometryMatchesSingleProcess)
+{
+    // 32 chunks. Auto geometry aims at 4 coarse leases per worker and
+    // cuts the last quarter of them into single chunks: 4 workers get
+    // 12 two-chunk leases and 8 single ones.
+    corpus::CampaignPlan plan = fleetPlan(64, 2);
+    TempDir ref("ref");
+    std::string reference_summary, reference_report;
+    runReference(ref.str(), reference_summary, reference_report, plan);
+
+    struct Case {
+        unsigned workers;
+        uint64_t leaseChunks;
+        uint64_t leases;
+    };
+    for (Case c : {Case{1, 8, 11}, Case{2, 4, 14}, Case{4, 2, 20}}) {
+        TempDir dir("auto");
+        FleetOptions options;
+        options.workers = c.workers;
+        corpus::StoreError error;
+        FleetCoordinator coordinator(dir.str(), plan, options);
+        std::optional<FleetResult> result = coordinator.run(&error);
+        ASSERT_TRUE(result) << error.message;
+        EXPECT_EQ(coordinator.config().leaseChunks, c.leaseChunks);
+        EXPECT_EQ(result->leases, c.leases);
+        EXPECT_EQ(corpus::summaryText(result->merged), reference_summary)
+            << "workers=" << c.workers;
+        EXPECT_EQ(renderMergedReport(result->mergedStoreDir),
+                  reference_report)
+            << "workers=" << c.workers;
+    }
+}
+
+TEST(Fleet, IdleWorkersAreNudgedInsteadOfPolled)
+{
+    // With the poll backstop at 30 s, only the nudge can end the idle
+    // waits: 4 workers share 6 leases, so some go idle at once.
+    constexpr uint64_t kBackstopMs = 30000;
+    TempDir dir("nudge");
+    support::MetricsRegistry registry;
+    FleetOptions options;
+    options.workers = 4;
+    options.pollMs = kBackstopMs;
+    options.metrics = &registry;
+    corpus::StoreError error;
+    FleetCoordinator coordinator(dir.str(), fleetPlan(), options);
+    auto start = std::chrono::steady_clock::now();
+    std::optional<FleetResult> result = coordinator.run(&error);
+    uint64_t wall_us = uint64_t(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    ASSERT_TRUE(result) << error.message;
+    EXPECT_LT(wall_us, kBackstopMs * 1000 / 5);
+
+    // The phase timings are recorded once each, disjoint, within the
+    // run, and exposed on /metrics.
+    uint64_t phases_us = 0;
+    std::map<std::string, support::MetricsRegistry::HistogramSnapshot>
+        hists;
+    for (auto &[key, snapshot] : registry.histograms())
+        hists.emplace(key, snapshot);
+    for (const char *phase : {"supervise", "drain", "merge"}) {
+        auto it = hists.find(std::string("fleet.phase_us{") + phase + "}");
+        ASSERT_NE(it, hists.end()) << phase;
+        EXPECT_EQ(it->second.count, 1u) << phase;
+        phases_us += it->second.sum;
+    }
+    EXPECT_LE(phases_us, wall_us);
+    EXPECT_NE(registry.expose().find("fleet_phase_us"), std::string::npos);
 }
 
 TEST(Fleet, CrashedWorkerIsReclaimedAndMergeIsUnchanged)

@@ -7,6 +7,8 @@
 #include "helpers.hpp"
 #include "instrument/instrument.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/builder.hpp"
+#include "ir/cfg.hpp"
 #include "ir/lowering.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
@@ -609,6 +611,84 @@ const char *kValidationPrograms[] = {
     R"(int f(int n) { if (n <= 1) { return 1; } return n * f(n - 1); } int main() { return f(5); })",
     R"(char b[2]; int main() { char *e = &b[1]; *e = 7; return b[1]; })",
 };
+
+TEST(Opt, RemoveUnreachableBlocksFixesPhisOfManyDeadPredecessors)
+{
+    // entry -> mid -> join is the live path. Dead blocks d0..d39 sit
+    // interleaved with it, chain values through each other, and feed
+    // the phis of mid, join and each other.
+    ir::Module m;
+    ir::IrBuilder b(m);
+    ir::Function *fn = m.addFunction("main", ir::IrType::i32(), false);
+    ir::Param *p = fn->addParam(ir::IrType::i32(), "p");
+    ir::BasicBlock *entry = fn->addBlock("entry");
+    std::vector<ir::BasicBlock *> dead;
+    dead.push_back(fn->addBlock("d0"));
+    ir::BasicBlock *mid = fn->addBlock("mid");
+    for (int i = 1; i < 40; ++i)
+        dead.push_back(fn->addBlock("d" + std::to_string(i)));
+    ir::BasicBlock *join = fn->addBlock("join");
+
+    b.setInsertionBlock(entry);
+    b.br(mid);
+    b.setInsertionBlock(mid);
+    ir::Instr *mid_phi = b.phi(ir::IrType::i32());
+    mid_phi->addIncoming(m.i32Const(0), entry);
+    b.br(join);
+    b.setInsertionBlock(join);
+    ir::Instr *join_phi = b.phi(ir::IrType::i32());
+    join_phi->addIncoming(mid_phi, mid);
+    b.ret(join_phi);
+
+    // d(i) branches to d(i+1), whose phi takes d(i)'s value; even
+    // blocks also feed join's phi, odd ones mid's.
+    ir::Value *prev = p;
+    ir::Instr *incoming_phi = nullptr;
+    for (size_t i = 0; i < dead.size(); ++i) {
+        b.setInsertionBlock(dead[i]);
+        ir::Instr *dead_phi = i ? b.phi(ir::IrType::i32()) : nullptr;
+        if (dead_phi)
+            dead_phi->addIncoming(prev, dead[i - 1]);
+        ir::Value *value = b.bin(ir::BinOp::Add,
+                                 dead_phi ? dead_phi : prev,
+                                 m.i32Const(int64_t(i)));
+        ir::BasicBlock *next =
+            i + 1 < dead.size() ? dead[i + 1] : join;
+        if (i % 2 == 0) {
+            b.condBr(b.cmp(ir::CmpPred::Eq, value, p), join, next);
+            join_phi->addIncoming(value, dead[i]);
+        } else {
+            b.condBr(b.cmp(ir::CmpPred::Slt, value, p), mid, next);
+            mid_phi->addIncoming(value, dead[i]);
+        }
+        if (next == join)
+            join_phi->addIncoming(value, dead[i]);
+        prev = value;
+        incoming_phi = dead_phi;
+    }
+    ASSERT_NE(incoming_phi, nullptr);
+    ASSERT_TRUE(ir::verifyFunction(*fn).ok())
+        << ir::verifyFunction(*fn).str();
+
+    EXPECT_EQ(ir::removeUnreachableBlocks(*fn), 40u);
+    ASSERT_EQ(fn->numBlocks(), 3u);
+    EXPECT_EQ(fn->blocks()[0].get(), entry);
+    EXPECT_EQ(fn->blocks()[1].get(), mid);
+    EXPECT_EQ(fn->blocks()[2].get(), join);
+    for (size_t i = 0; i < fn->numBlocks(); ++i)
+        EXPECT_EQ(fn->blocks()[i]->indexInFn(), i);
+    ASSERT_EQ(mid_phi->numOperands(), 1u);
+    EXPECT_EQ(mid_phi->blockOperands()[0], entry);
+    ASSERT_EQ(join_phi->numOperands(), 1u);
+    EXPECT_EQ(join_phi->operand(0), mid_phi);
+    // The dead chain's uses are gone from the live values' user lists.
+    EXPECT_FALSE(p->hasUsers());
+    ASSERT_EQ(mid_phi->users().size(), 1u);
+    EXPECT_EQ(mid_phi->users()[0], join_phi);
+    EXPECT_TRUE(ir::verifyFunction(*fn).ok())
+        << ir::verifyFunction(*fn).str();
+    EXPECT_EQ(ir::removeUnreachableBlocks(*fn), 0u);
+}
 
 class ValidationSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
